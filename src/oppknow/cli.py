@@ -16,12 +16,15 @@ and input files produce byte-identical outputs. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from .engine import (
+    MetricsRecord,
     Policy,
+    _fmt,
     read_metrics_csv,
     round_robin_schedule,
     focal_schedule,
@@ -47,10 +50,6 @@ from .traces import (
     synthesize_traces,
     write_sample_table,
 )
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 # -- argparse value checks -------------------------------------------------------
@@ -93,8 +92,8 @@ def _radius(text: str) -> float:
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} must be > 0")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite and > 0")
     return value
 
 
@@ -157,8 +156,9 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    table = read_sample_table(args.trace)
-    dist = JointDistribution.from_samples(table)
+    # The sample table is not kept: freeing its row tuples before the run
+    # lowers the command's peak memory.
+    dist = JointDistribution.from_samples(read_sample_table(args.trace))
 
     if args.mesh:
         graph = full_mesh(dist.user_count)
@@ -176,13 +176,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     records = run(dist, graph, schedule, policy, args.tol)
     write_metrics_csv(records, args.metrics)
 
-    finals = {r.node: r for r in records}
+    by_node: dict[int, list[MetricsRecord]] = {}
+    for record in records:
+        by_node.setdefault(record.node, []).append(record)
     lines = ["node,kl_bits,kg_bits,achieved,steps_to_limit,oh_bits"]
     for node in range(graph.node_count):
-        final = finals.get(node)
-        if final is None:
+        own = by_node.get(node)
+        if own is None:
             raise ShapeMismatch(f"no metrics emitted for node {node}")
-        steps = steps_to_limit(records, node, args.tol)
+        final = own[-1]
+        steps = steps_to_limit(own, node, args.tol)
         steps_text = "" if steps is None else str(steps)
         achieved = "true" if final.achieved else "false"
         lines.append(

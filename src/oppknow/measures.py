@@ -7,6 +7,17 @@ conditional entropy, mutual information, knowledge gain/limit) reduce to
 entropies of outcome projections, merged exactly in integer arithmetic before
 any floating-point work.
 
+One kernel computes those entropies, by partition refinement. The projections
+onto a variable subset S are the blocks of a partition of the atoms. The
+kernel refines the partition of the largest cached subset of S by the columns
+S adds, or, when no subset of S is cached, builds it from the columns (one
+``np.unique`` per batch of columns that fits a 62-bit mixed-radix key). An
+atom alone in its block never splits again: it is settled, and only its
+``w * log2(w)`` term is kept. A cached partition therefore stores just the
+atoms that still share a block. Partitions with more than half the atoms
+still sharing are not cached, and the cache holds at most as many bytes as the
+outcome columns, evicting the least recently used partition first.
+
 Conventions:
 
 * logarithms are base 2 throughout, so every result is in bits;
@@ -20,9 +31,11 @@ Conventions:
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+import threading
+from collections import Counter, OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -43,6 +56,9 @@ if TYPE_CHECKING:
 #: Negative results larger than this magnitude are treated as real bugs.
 ROUND_OFF_TOLERANCE = 1e-12
 
+# Packed projection keys stay below this bound, clear of int64 overflow.
+_PACK_LIMIT = 1 << 62
+
 
 def nonnegative_bits(value: float) -> float:
     """Clamp floating-point cancellation noise in a non-negative quantity.
@@ -59,6 +75,25 @@ def nonnegative_bits(value: float) -> float:
     )
 
 
+class _Partition(NamedTuple):
+    """Partition of the atoms into blocks of equal projection onto a subset.
+
+    Only atoms that still share their block are stored: ``rows`` holds their
+    indices and ``labels`` their block, dense in ``[0, blocks)``. An atom
+    alone in its block stays alone under every larger subset, so it is
+    settled and survives only as its ``w * log2(w)`` term in ``settled``.
+    """
+
+    rows: np.ndarray
+    labels: np.ndarray
+    blocks: int
+    settled: float
+
+
+def _entry_bytes(part: _Partition) -> int:
+    return sys.getsizeof(part) + sys.getsizeof(part.rows) + sys.getsizeof(part.labels)
+
+
 class JointDistribution:
     """Empirical joint PMF over ``user_count`` variables with ``category_count`` outcomes each.
 
@@ -66,8 +101,10 @@ class JointDistribution:
     ``[0, category_count)``) to positive integer weights; the probability of
     an atom is ``weight / total_weight``. Instances are immutable after
     construction and every query is pure, so they are safe to share across
-    threads. Entropy queries are memoized per variable subset; the memo is
-    semantically invisible.
+    threads. Entropy queries are memoized per variable subset, and the
+    kernel caches refined partitions; both are semantically invisible. A lock
+    serializes the partition cache's lookups, insertions and evictions; the
+    entropy work itself runs outside it.
     """
 
     def __init__(
@@ -104,9 +141,19 @@ class JointDistribution:
         self.atoms: dict[tuple[int, ...], int] = dict(sorted(clean.items()))
         self.total_weight = sum(self.atoms.values())
 
-        self._outcomes = np.array(list(self.atoms.keys()), dtype=np.int64)
-        self._weights = np.array(list(self.atoms.values()), dtype=np.int64)
+        # One contiguous column per variable, in the smallest integer dtype
+        # that holds every category (uint64 would turn the int64 packing
+        # arithmetic into float64, so wide alphabets use int64).
+        dtype = np.min_scalar_type(self.category_count - 1)
+        if dtype.itemsize == 8:
+            dtype = np.dtype(np.int64)
+        self._columns = np.array(list(self.atoms), dtype=dtype).T.copy()
+        self._weights = np.array(list(self.atoms.values()), dtype=np.float64)
         self._entropy_memo: dict[tuple[int, ...], float] = {}
+        self._partitions: OrderedDict[int, _Partition] = OrderedDict()
+        self._partition_bytes = 0
+        self._partition_budget = self._columns.nbytes
+        self._partition_lock = threading.Lock()
 
     @classmethod
     def from_samples(cls, table: "SampleTable") -> "JointDistribution":
@@ -159,25 +206,99 @@ class JointDistribution:
         return value
 
     def _projection_entropy(self, key: tuple[int, ...]) -> float:
-        # Pack the projected coordinates of every atom into a single integer
-        # key (mixed radix), re-densifying the alphabet whenever the next
-        # column would overflow 2^62, then merge equal keys exactly in
-        # integer weights.
+        # The projections onto ``key`` are the blocks of the partition of
+        # atoms it induces. Refine the largest cached partition of a subset
+        # of ``key`` by the remaining columns (or the one-block partition of
+        # the empty set, when none is cached), then sum w*log2(w) over the
+        # blocks in float64.
+        members = 0
+        for i in key:
+            members |= 1 << i
+        parent_members, parent = self._cached_parent(key, members)
+        part = self._refine(parent, [i for i in key if not parent_members >> i & 1])
+        self._cache_partition(members, part)
+        merged = np.bincount(
+            part.labels, weights=self._weights[part.rows], minlength=part.blocks
+        )
+        total = float(self.total_weight)
+        return float(
+            np.log2(total) - (part.settled + np.dot(merged, np.log2(merged))) / total
+        )
+
+    def _refine(self, parent: _Partition | None, columns: Sequence[int]) -> _Partition:
+        # Pack each active atom's parent label and its values in ``columns``
+        # into one integer key (mixed radix), re-densifying the alphabet
+        # whenever the next column would overflow 2^62, then split blocks by
+        # equal keys. Atoms left alone in a block are settled.
         v = self.category_count
-        limit = 1 << 62
-        packed = self._outcomes[:, key[0]].copy()
-        capacity = v
-        for column in key[1:]:
-            if capacity > limit // v:
+        if parent is None:
+            rows, settled = None, 0.0
+            packed, capacity = np.zeros(self._weights.size, dtype=np.int64), 1
+        else:
+            rows, settled = parent.rows, parent.settled
+            packed, capacity = parent.labels.astype(np.int64), parent.blocks
+        for column in columns:
+            if capacity > _PACK_LIMIT // v:
                 uniques, packed = np.unique(packed, return_inverse=True)
                 capacity = len(uniques)
-            packed = packed * v + self._outcomes[:, column]
+            values = self._columns[column]
+            packed = packed * v + (values if rows is None else values[rows])
             capacity *= v
-        _, inverse = np.unique(packed, return_inverse=True)
-        merged = np.bincount(inverse, weights=self._weights)
-        merged = merged[merged > 0]
-        total = float(self.total_weight)
-        return float(np.log2(total) - np.dot(merged, np.log2(merged)) / total)
+        _, inverse, sizes = np.unique(packed, return_inverse=True, return_counts=True)
+        shared = sizes > 1
+        active = shared[inverse]
+        if rows is None:
+            rows = np.arange(self._weights.size, dtype=np.int32)
+        alone = self._weights[rows[~active]]
+        if alone.size:
+            settled += float(np.dot(alone, np.log2(alone)))
+        labels = (np.cumsum(shared, dtype=np.int32) - 1)[inverse[active]]
+        return _Partition(rows[active], labels, int(shared.sum()), settled)
+
+    def _cached_parent(
+        self, key: tuple[int, ...], members: int
+    ) -> tuple[int, _Partition | None]:
+        # Subsets are bit masks over the variables. A subset one variable
+        # short of ``members`` is the largest possible parent, so those are
+        # probed first; otherwise every cached entry is scanned. The lock
+        # keeps another thread's eviction from resizing the cache mid-scan.
+        partitions = self._partitions
+        with self._partition_lock:
+            best_members, best = 0, None
+            for i in key:
+                best = partitions.get(members ^ (1 << i))
+                if best is not None:
+                    best_members = members ^ (1 << i)
+                    break
+            else:
+                best_count = 0
+                for cached, part in partitions.items():
+                    if cached & members == cached and cached.bit_count() > best_count:
+                        best_members, best = cached, part
+                        best_count = cached.bit_count()
+            if best is not None:
+                partitions.move_to_end(best_members)
+        return best_members, best
+
+    def _cache_partition(self, members: int, part: _Partition) -> None:
+        # Partitions with more than half the atoms active are nearly as
+        # cheap to rebuild from the columns as to refine, so only the
+        # well-refined ones are kept, least recently used evicted first.
+        # An entry's size counts its objects as well as its arrays, so that
+        # fully settled partitions are bounded too.
+        if 2 * part.rows.size > self._weights.size:
+            return
+        size = _entry_bytes(part)
+        if size > self._partition_budget:
+            return
+        with self._partition_lock:
+            if members in self._partitions:
+                return
+            self._partitions[members] = part
+            self._partition_bytes += size
+            while self._partition_bytes > self._partition_budget:
+                _, old = self._partitions.popitem(last=False)
+                self._partition_bytes -= _entry_bytes(old)
 
     def conditional_entropy(self, a: Iterable[int], b: Iterable[int]) -> float:
         """``H(A | B) = H(A ∪ B) - H(B)`` in bits, for disjoint groups."""

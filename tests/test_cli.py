@@ -214,6 +214,18 @@ class TestSimulate:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, trace_m20, tmp_path, capsys, tol):
+        summary = tmp_path / "s.csv"
+        code = main([
+            "simulate", "--trace", str(trace_m20), "--mesh", "--policy", "smo",
+            "--focal", "0", "--tol", tol,
+            "--metrics", str(tmp_path / "m.csv"), "--summary", str(summary),
+        ])
+        assert "--tol" in capsys.readouterr().err
+        assert code == 2
+        assert not summary.exists()
+
 
 class TestReport:
     @pytest.fixture()

@@ -13,6 +13,7 @@ from oppknow import (
     full_mesh,
     init_state,
     inject_unique_tips,
+    random_geometric,
     read_metrics_csv,
     round_robin_schedule,
     run,
@@ -319,3 +320,26 @@ class TestMetricsFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == METRICS_HEADER
         assert len(lines) == 1 + 4 * 5  # four rounds, five nodes
+
+
+class TestMemoryBound:
+    def test_smo_run_memory_stays_within_outcome_columns_multiple(self):
+        # M=30, T=3k with unique tips asks for hundreds of distinct subsets,
+        # more partitions than the entropy kernel may keep, so it evicts.
+        # 25 categories fit one byte, so the outcome columns take one byte
+        # per (atom, user) cell. Keeping every partition measured about 22x
+        # that; the bounded cache about 5x, mostly the records and the memo.
+        import tracemalloc
+
+        table = inject_unique_tips(synthesize_traces(SynthConfig(30, 24, 3000, 0.3, 1)))
+        dist = JointDistribution.from_samples(table)
+        column_bytes = len(dist.atoms) * dist.user_count
+        graph = random_geometric(30, 0.7, 1)
+        schedule = round_robin_schedule(graph, 20, 1)
+        tracemalloc.start()
+        try:
+            run(dist, graph, schedule, SMO)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * column_bytes

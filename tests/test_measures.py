@@ -202,6 +202,46 @@ class TestConcurrentQueries:
             results = list(pool.map(fresh.subset_entropy, subsets * 16))
         assert results == expected * 16
 
+    def test_parallel_reads_while_partitions_are_evicted(self):
+        # 1023 subsets over 600 atoms overflow the partition cache many
+        # times, so threads look up parents while others evict.
+        import random
+        import sys
+        from collections import Counter
+        from concurrent.futures import ThreadPoolExecutor
+        from itertools import chain, combinations
+
+        import numpy as np
+
+        rng = np.random.default_rng(11)
+        row_pool = rng.integers(0, 3, size=(600, 10))
+        rows = row_pool[rng.integers(0, 600, size=900)]
+        atoms = Counter(map(tuple, rows.tolist()))
+        subsets = list(
+            chain.from_iterable(combinations(range(10), k) for k in range(1, 11))
+        )
+        serial = JointDistribution(10, 3, atoms)
+        expected = {s: serial.subset_entropy(s) for s in subsets}
+
+        shared = JointDistribution(10, 3, atoms)
+        orders = [random.Random(seed).sample(subsets, len(subsets)) for seed in range(8)]
+
+        def query(order):
+            return [(s, shared.subset_entropy(s)) for s in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(query, order) for order in orders]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for batch in results:
+            assert len(batch) == len(subsets)
+            for s, value in batch:
+                assert value == pytest.approx(expected[s], abs=1e-12)
+
 
 class TestConstruction:
     def test_atoms_are_canonicalized(self):
