@@ -313,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:
+        # Input files are ASCII; a non-ASCII byte is bad input, not bad usage.
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,9 @@ receiver's knowledge.
 
 Rounds of a schedule are matchings: pairs within a round are vertex-disjoint
 and are applied simultaneously against the pre-round state, so results do not
-depend on pair order inside a round.
+depend on pair order inside a round. :func:`run` updates only the two partners
+of each encounter and recomputes the knowledge gain only of nodes that took
+part in the round; every other node keeps its set and its gain.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ Schedule = Sequence[Round]
 METRICS_HEADER = "round,node,policy,kg_bits,kl_bits,oh_round_bits,oh_cum_bits,achieved"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsRecord:
     """Per-node, per-round simulation metrics.
 
@@ -83,18 +85,53 @@ def init_state(node_count: int) -> KnowledgeState:
 
 
 def _group_overhead(
-    dist: JointDistribution, sent: frozenset[int], held: frozenset[int]
+    dist: JointDistribution,
+    sent: frozenset[int],
+    held: frozenset[int],
+    joint: frozenset[int],
 ) -> float:
     """Shared information between a transmitted group and a held group.
 
-    ``H(sent) + H(held) - H(sent ∪ held)``; equals the mutual information
-    when the groups are disjoint and remains valid when they overlap.
+    ``H(sent) + H(held) - H(joint)`` with ``joint = sent ∪ held``; equals the
+    mutual information when the groups are disjoint and remains valid when
+    they overlap.
     """
     return nonnegative_bits(
         dist.subset_entropy(sent)
         + dist.subset_entropy(held)
-        - dist.subset_entropy(sent | held)
+        - dist.subset_entropy(joint)
     )
+
+
+def _encounter(
+    dist: JointDistribution,
+    state: Sequence[frozenset[int]],
+    i: int,
+    j: int,
+    policy: Policy,
+    graph: Graph | None,
+) -> tuple[frozenset[int], frozenset[int], tuple[float, float]]:
+    """Check one encounter's pair; return both partners' new sets and the overheads.
+
+    Each partner's new set is the union its overhead needs, so it is built
+    once.
+    """
+    if i == j:
+        raise SelfEncounter(f"node {i} cannot encounter itself")
+    if not (0 <= i < len(state) and 0 <= j < len(state)):
+        raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {len(state)})")
+    if graph is not None and not graph.has_edge(i, j):
+        raise NotAnEdge(f"({i}, {j}) is not an edge of the topology")
+    know_i, know_j = state[i], state[j]
+    if policy is Policy.SEND_MINE_ONLY:
+        new_i, new_j = know_i | {j}, know_j | {i}
+        return new_i, new_j, (
+            _group_overhead(dist, frozenset([i]), know_j, new_j),
+            _group_overhead(dist, frozenset([j]), know_i, new_i),
+        )
+    merged = know_i | know_j
+    shared = _group_overhead(dist, know_i, know_j, merged)
+    return merged, merged, (shared, shared)
 
 
 def encounter_overhead(
@@ -112,16 +149,7 @@ def encounter_overhead(
     forward-mine-plus-others both sides transmit their full knowledge sets
     and incur the same overhead.
     """
-    if i == j:
-        raise SelfEncounter(f"node {i} cannot encounter itself")
-    know_i, know_j = state[i], state[j]
-    if policy is Policy.SEND_MINE_ONLY:
-        return (
-            _group_overhead(dist, frozenset([i]), know_j),
-            _group_overhead(dist, frozenset([j]), know_i),
-        )
-    shared = _group_overhead(dist, know_i, know_j)
-    return (shared, shared)
+    return _encounter(dist, state, i, j, policy, None)[2]
 
 
 def apply_encounter(
@@ -138,20 +166,7 @@ def apply_encounter(
     knowledge gain; nodes outside the pair are unchanged. When ``graph`` is
     given the pair must be one of its edges.
     """
-    if i == j:
-        raise SelfEncounter(f"node {i} cannot encounter itself")
-    if not (0 <= i < len(state) and 0 <= j < len(state)):
-        raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {len(state)})")
-    if graph is not None and not graph.has_edge(i, j):
-        raise NotAnEdge(f"({i}, {j}) is not an edge of the topology")
-
-    overheads = encounter_overhead(dist, state, i, j, policy)
-    if policy is Policy.SEND_MINE_ONLY:
-        new_i = state[i] | {j}
-        new_j = state[j] | {i}
-    else:
-        new_i = new_j = state[i] | state[j]
-
+    new_i, new_j, overheads = _encounter(dist, state, i, j, policy, graph)
     deltas = {
         i: nonnegative_bits(
             dist.subset_entropy(new_i) - dist.subset_entropy(state[i])
@@ -218,7 +233,9 @@ def run(
     node_count = graph.node_count
     limits = [dist.knowledge_limit(n) for n in range(node_count)]
 
-    state = init_state(node_count)
+    state = list(init_state(node_count))
+    # Every node starts holding only itself, a gain of exactly zero.
+    kg = [0.0] * node_count
     oh_cum = [0.0] * node_count
     records: list[MetricsRecord] = []
 
@@ -236,24 +253,27 @@ def run(
         for i, j in round_pairs:
             # Pairs are vertex-disjoint, so sequential application equals
             # simultaneous application against the pre-round snapshot.
-            state, _, (oh_i, oh_j) = apply_encounter(dist, state, i, j, policy, graph)
+            state[i], state[j], (oh_i, oh_j) = _encounter(
+                dist, state, i, j, policy, graph
+            )
             oh_round[i] += oh_i
             oh_round[j] += oh_j
             participated[i] = participated[j] = True
 
         for n in range(node_count):
-            kg = dist.knowledge_gain(n, state[n])
-            oh_cum[n] += oh_round[n]
+            if participated[n]:
+                kg[n] = dist.knowledge_gain(n, state[n])
+                oh_cum[n] += oh_round[n]
             records.append(
                 MetricsRecord(
                     round_index=round_index,
                     node=n,
                     policy=policy,
-                    kg_bits=kg,
+                    kg_bits=kg[n],
                     kl_bits=limits[n],
                     oh_round_bits=oh_round[n],
                     oh_cum_bits=oh_cum[n],
-                    achieved=(limits[n] - kg) <= tol,
+                    achieved=(limits[n] - kg[n]) <= tol,
                     participated=participated[n],
                 )
             )

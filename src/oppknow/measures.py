@@ -18,6 +18,13 @@ atoms that still share a block. Partitions with more than half the atoms
 still sharing are not cached, and the cache holds at most as many bytes as the
 outcome columns, evicting the least recently used partition first.
 
+Entropies are memoized per variable subset, keyed by the validated
+``frozenset`` of its ids. A frozenset that is already a memo key was checked
+when it was stored, so a repeat query with it (the simulation engine's
+knowledge sets) is one dict lookup; any other argument is converted with
+``int()`` and bounds-checked, and only a memo miss sorts the ids for the
+kernel.
+
 Conventions:
 
 * logarithms are base 2 throughout, so every result is in bits;
@@ -75,6 +82,11 @@ def nonnegative_bits(value: float) -> float:
     )
 
 
+def _text(ids: frozenset[int]) -> str:
+    """A subset as its sorted id tuple, the form error messages show."""
+    return str(tuple(sorted(int(i) for i in ids)))
+
+
 class _Partition(NamedTuple):
     """Partition of the atoms into blocks of equal projection onto a subset.
 
@@ -122,6 +134,61 @@ class JointDistribution:
 
         self.user_count = int(user_count)
         self.category_count = int(category_count)
+        # Outcomes are held in the smallest integer dtype that holds every
+        # category (uint64 would turn the int64 packing arithmetic into
+        # float64, so wide alphabets use int64).
+        dtype = np.min_scalar_type(self.category_count - 1)
+        if dtype.itemsize == 8:
+            dtype = np.dtype(np.int64)
+        grid, weights = self._validated_atoms(atoms)
+        grid = grid.astype(dtype)
+
+        # Canonical (sorted) atom order keeps query results independent of
+        # the insertion order of equal tables. Rows sort as tuples do: by
+        # the first column, then the second, and so on.
+        order = np.lexsort(grid.T[::-1])
+        grid, weights = grid[order], weights[order]
+        # Row by row, so that only one row's list lives beside the tuples.
+        self.atoms: dict[tuple[int, ...], int] = dict(
+            zip((tuple(row.tolist()) for row in grid), weights.tolist())
+        )
+        self.total_weight = sum(self.atoms.values())
+
+        # One contiguous column per variable.
+        self._columns = np.ascontiguousarray(grid.T)
+        self._weights = weights.astype(np.float64)
+        self._entropy_memo: dict[frozenset[int], float] = {}
+        self._partitions: OrderedDict[int, _Partition] = OrderedDict()
+        self._partition_bytes = 0
+        self._partition_budget = self._columns.nbytes
+        self._partition_lock = threading.Lock()
+
+    def _validated_atoms(
+        self, atoms: Mapping[tuple[int, ...], int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Outcomes as one (atoms, users) integer grid, and their weights.
+        # Integer outcomes of the right length and range with positive
+        # integer weights are checked as whole arrays. Anything else takes
+        # the per-outcome loop, which converts with int(), merges outcomes
+        # that convert to the same tuple, and raises the error for the first
+        # bad atom.
+        try:
+            grid = np.array(list(atoms))
+            weights = np.array(list(atoms.values()))
+        except (ValueError, TypeError, OverflowError):
+            grid = weights = None
+        if (
+            grid is not None
+            and grid.dtype.kind in "iu"
+            and grid.shape == (len(atoms), self.user_count)
+            and grid.min() >= 0
+            and grid.max() < self.category_count
+            and weights.dtype.kind in "iu"
+            and weights.shape == (len(atoms),)
+            and weights.min() > 0
+        ):
+            return grid, weights
+
         clean: dict[tuple[int, ...], int] = {}
         for outcome, weight in atoms.items():
             outcome = tuple(int(c) for c in outcome)
@@ -135,25 +202,7 @@ class JointDistribution:
             if w <= 0:
                 raise MalformedSamples(f"atom weight must be positive, got {weight!r}")
             clean[outcome] = clean.get(outcome, 0) + w
-
-        # Canonical (sorted) atom order keeps query results independent of
-        # the insertion order of equal tables.
-        self.atoms: dict[tuple[int, ...], int] = dict(sorted(clean.items()))
-        self.total_weight = sum(self.atoms.values())
-
-        # One contiguous column per variable, in the smallest integer dtype
-        # that holds every category (uint64 would turn the int64 packing
-        # arithmetic into float64, so wide alphabets use int64).
-        dtype = np.min_scalar_type(self.category_count - 1)
-        if dtype.itemsize == 8:
-            dtype = np.dtype(np.int64)
-        self._columns = np.array(list(self.atoms), dtype=dtype).T.copy()
-        self._weights = np.array(list(self.atoms.values()), dtype=np.float64)
-        self._entropy_memo: dict[tuple[int, ...], float] = {}
-        self._partitions: OrderedDict[int, _Partition] = OrderedDict()
-        self._partition_bytes = 0
-        self._partition_budget = self._columns.nbytes
-        self._partition_lock = threading.Lock()
+        return np.array(list(clean), dtype=np.int64), np.array(list(clean.values()))
 
     @classmethod
     def from_samples(cls, table: "SampleTable") -> "JointDistribution":
@@ -174,14 +223,20 @@ class JointDistribution:
 
     # -- subset handling -------------------------------------------------------
 
-    def _canonical_subset(self, members: Iterable[int]) -> tuple[int, ...]:
-        ids = sorted({int(i) for i in members})
-        for i in ids:
-            if i < 0 or i >= self.user_count:
-                raise BadVariableIndex(
-                    f"variable {i} outside [0, {self.user_count})"
-                )
-        return tuple(ids)
+    def _canonical_subset(self, members: Iterable[int]) -> frozenset[int]:
+        # A memo key was validated when it was stored, so it is returned as
+        # it is; anything else is converted and bounds-checked.
+        if isinstance(members, frozenset) and members in self._entropy_memo:
+            return members
+        # Built from a dict, the set's table is sized once for its length,
+        # about half the size that adding the ids one by one grows it to.
+        ids = frozenset(dict.fromkeys(int(i) for i in members))
+        bad = [i for i in ids if i < 0 or i >= self.user_count]
+        if bad:
+            raise BadVariableIndex(
+                f"variable {min(bad)} outside [0, {self.user_count})"
+            )
+        return ids
 
     def all_variables(self) -> tuple[int, ...]:
         """The full variable set ``(0, ..., user_count - 1)``."""
@@ -198,11 +253,14 @@ class JointDistribution:
         entropy of the empty set is 0.
         """
         key = self._canonical_subset(members)
-        memo = self._entropy_memo
-        if key in memo:
-            return memo[key]
-        value = 0.0 if not key else nonnegative_bits(self._projection_entropy(key))
-        memo[key] = value
+        value = self._entropy_memo.get(key)
+        if value is None:
+            value = (
+                nonnegative_bits(self._projection_entropy(tuple(sorted(key))))
+                if key
+                else 0.0
+            )
+            self._entropy_memo[key] = value
         return value
 
     def _projection_entropy(self, key: tuple[int, ...]) -> float:
@@ -304,9 +362,9 @@ class JointDistribution:
         """``H(A | B) = H(A ∪ B) - H(B)`` in bits, for disjoint groups."""
         a_ids = self._canonical_subset(a)
         b_ids = self._canonical_subset(b)
-        if set(a_ids) & set(b_ids):
-            raise OverlappingSets(f"groups {a_ids} and {b_ids} overlap")
-        joint = self.subset_entropy(a_ids + b_ids)
+        if a_ids & b_ids:
+            raise OverlappingSets(f"groups {_text(a_ids)} and {_text(b_ids)} overlap")
+        joint = self.subset_entropy(a_ids | b_ids)
         return nonnegative_bits(joint - self.subset_entropy(b_ids))
 
     def mutual_information(self, a: Iterable[int], b: Iterable[int]) -> float:
@@ -315,12 +373,12 @@ class JointDistribution:
         b_ids = self._canonical_subset(b)
         if not a_ids or not b_ids:
             raise EmptySet("mutual information needs two nonempty groups")
-        if set(a_ids) & set(b_ids):
-            raise OverlappingSets(f"groups {a_ids} and {b_ids} overlap")
+        if a_ids & b_ids:
+            raise OverlappingSets(f"groups {_text(a_ids)} and {_text(b_ids)} overlap")
         value = (
             self.subset_entropy(a_ids)
             + self.subset_entropy(b_ids)
-            - self.subset_entropy(a_ids + b_ids)
+            - self.subset_entropy(a_ids | b_ids)
         )
         return nonnegative_bits(value)
 
@@ -347,8 +405,12 @@ class JointDistribution:
         held = self._canonical_subset(holding)
         i = int(i)
         if i not in held:
-            raise SelfNotInKnowledgeSet(f"user {i} missing from its own knowledge set {held}")
-        return nonnegative_bits(self.subset_entropy(held) - self.subset_entropy([i]))
+            raise SelfNotInKnowledgeSet(
+                f"user {i} missing from its own knowledge set {_text(held)}"
+            )
+        return nonnegative_bits(
+            self.subset_entropy(held) - self.subset_entropy(frozenset((i,)))
+        )
 
     def chain_decomposition(self, order: Sequence[int]) -> list[float]:
         """Conditional-entropy terms of the chain rule along ``order``.

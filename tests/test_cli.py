@@ -315,3 +315,50 @@ class TestPipelineDeterminism:
     def test_usage_error_on_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+class TestNonAsciiInput:
+    """A non-ASCII byte in any input file is an input error (exit 3)."""
+
+    def _run(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert "codec can't decode" in err
+        return code
+
+    def test_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(b"2,3,1\n0,\xff\n")
+        argv = ["limits", "--trace", str(trace), "--output", str(tmp_path / "o.csv")]
+        assert self._run(capsys, argv) == 3
+
+    def test_activity_csv(self, tmp_path, capsys):
+        src = tmp_path / "activity.csv"
+        src.write_bytes(b"timestamp,user,category\n0,0,\xe9\n")
+        argv = [
+            "ingest", "--input", str(src), "--users", "2", "--categories", "2",
+            "--output", str(tmp_path / "t.csv"),
+        ]
+        assert self._run(capsys, argv) == 3
+
+    def test_metrics_csv(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(
+            b"round,node,policy,kg_bits,kl_bits,oh_round_bits,oh_cum_bits,achieved\n"
+            b"0,0,smo,0,1,0,0,f\xc3\xa4lse\n"
+        )
+        argv = [
+            "report", "--metrics", str(metrics), "--nodes", "0",
+            "--output", str(tmp_path / "w.csv"),
+        ]
+        assert self._run(capsys, argv) == 3
+
+    def test_edge_list(self, trace_m20, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes(b"20\n0 1\n1 \xff2\n")
+        argv = [
+            "simulate", "--trace", str(trace_m20), "--edges", str(edges),
+            "--policy", "smo", "--focal", "0",
+            "--metrics", str(tmp_path / "m.csv"), "--summary", str(tmp_path / "s.csv"),
+        ]
+        assert self._run(capsys, argv) == 3

@@ -4,6 +4,7 @@ import pytest
 
 from oppknow import (
     JointDistribution,
+    MetricsRecord,
     Policy,
     SynthConfig,
     apply_encounter,
@@ -90,6 +91,12 @@ class TestEncounterOverhead:
     def test_self_encounter_rejected(self, uniform_pair):
         with pytest.raises(SelfEncounter):
             encounter_overhead(uniform_pair, init_state(2), 1, 1, SMO)
+
+    def test_out_of_range_pair_rejected(self, uniform_pair):
+        # A negative id must not wrap around to the last node's set.
+        for pair in ((-1, 0), (0, 2)):
+            with pytest.raises(BadVariableIndex):
+                encounter_overhead(uniform_pair, init_state(2), *pair, FMPO)
 
 
 class TestApplyEncounter:
@@ -239,6 +246,86 @@ class TestRun:
         g = full_mesh(5)
         schedule = round_robin_schedule(g, 12, seed=7)
         assert run(small_dist, g, schedule, FMPO) == run(small_dist, g, schedule, FMPO)
+
+
+def previous_run(dist, graph, schedule, policy, tol=1e-9):
+    """The simulation loop that applied every encounter through
+    ``apply_encounter`` and recomputed every node's gain each round.
+
+    Kept verbatim as the reference ``run`` is checked against.
+    """
+    if dist.user_count != graph.node_count:
+        raise ShapeMismatch(
+            f"distribution has {dist.user_count} users but topology has "
+            f"{graph.node_count} nodes"
+        )
+    node_count = graph.node_count
+    limits = [dist.knowledge_limit(n) for n in range(node_count)]
+
+    state = init_state(node_count)
+    oh_cum = [0.0] * node_count
+    records: list[MetricsRecord] = []
+
+    for round_index, round_pairs in enumerate(schedule):
+        seen: set[int] = set()
+        for i, j in round_pairs:
+            if i in seen or j in seen:
+                raise ValueError(
+                    f"round {round_index} pairs are not vertex-disjoint at ({i}, {j})"
+                )
+            seen.update((i, j))
+
+        oh_round = [0.0] * node_count
+        participated = [False] * node_count
+        for i, j in round_pairs:
+            # Pairs are vertex-disjoint, so sequential application equals
+            # simultaneous application against the pre-round snapshot.
+            state, _, (oh_i, oh_j) = apply_encounter(dist, state, i, j, policy, graph)
+            oh_round[i] += oh_i
+            oh_round[j] += oh_j
+            participated[i] = participated[j] = True
+
+        for n in range(node_count):
+            kg = dist.knowledge_gain(n, state[n])
+            oh_cum[n] += oh_round[n]
+            records.append(
+                MetricsRecord(
+                    round_index=round_index,
+                    node=n,
+                    policy=policy,
+                    kg_bits=kg,
+                    kl_bits=limits[n],
+                    oh_round_bits=oh_round[n],
+                    oh_cum_bits=oh_cum[n],
+                    achieved=(limits[n] - kg) <= tol,
+                    participated=participated[n],
+                )
+            )
+    return records
+
+
+class TestRunMatchesPreviousLoop:
+    """``run`` touches only each encounter's partners, with identical records."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return inject_unique_tips(synthesize_traces(SynthConfig(12, 5, 400, 0.3, 3)))
+
+    @pytest.mark.parametrize("policy", [SMO, FMPO])
+    @pytest.mark.parametrize("kind", ["round-robin", "focal"])
+    def test_records_equal(self, table, policy, kind):
+        graph = random_geometric(12, 0.5, 2)
+        if kind == "focal":
+            schedule = focal_schedule(graph, 3)
+        else:
+            schedule = round_robin_schedule(graph, 30, seed=4)
+        # Separate distributions, so each run fills its own memo and
+        # partition cache in its own query order.
+        expected = previous_run(JointDistribution.from_samples(table), graph, schedule, policy)
+        actual = run(JointDistribution.from_samples(table), graph, schedule, policy)
+        assert actual == expected
+        if kind == "focal":
+            assert sum(r.participated for r in actual) == 2 * len(schedule)
 
 
 class TestPolicyInvariants:

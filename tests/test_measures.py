@@ -145,6 +145,39 @@ class TestKnowledgeGain:
             three_atom.knowledge_gain(0, [1, 2])
 
 
+class TestMemoFastPath:
+    """A frozenset that is already a memo key skips validation; nothing else does."""
+
+    def _warm(self, dist):
+        for i in range(dist.user_count):
+            dist.knowledge_limit(i)
+        dist.knowledge_gain(0, frozenset([0, 1]))
+
+    def test_out_of_range_frozenset_rejected_when_warm(self, three_atom):
+        self._warm(three_atom)
+        with pytest.raises(BadVariableIndex, match=r"^variable 3 outside \[0, 3\)$"):
+            three_atom.subset_entropy(frozenset([0, 3]))
+        with pytest.raises(BadVariableIndex, match=r"^variable -1 outside \[0, 3\)$"):
+            three_atom.subset_entropy(frozenset([-1, 1, 5]))
+
+    def test_missing_self_rejected_when_warm(self, three_atom):
+        self._warm(three_atom)
+        held = frozenset([2, 1])
+        three_atom.subset_entropy(held)
+        with pytest.raises(
+            SelfNotInKnowledgeSet,
+            match=r"^user 0 missing from its own knowledge set \(1, 2\)$",
+        ):
+            three_atom.knowledge_gain(0, held)
+
+    def test_overlap_messages_show_sorted_tuples(self, three_atom):
+        self._warm(three_atom)
+        with pytest.raises(OverlappingSets, match=r"^groups \(0, 1\) and \(1,\) overlap$"):
+            three_atom.conditional_entropy(frozenset([1, 0]), [1])
+        with pytest.raises(OverlappingSets, match=r"^groups \(0, 1\) and \(1, 2\) overlap$"):
+            three_atom.mutual_information([1, 0], frozenset([2, 1]))
+
+
 class TestChainDecomposition:
     def test_independent_triple(self, independent_triple):
         assert independent_triple.chain_decomposition([0, 1, 2]) == pytest.approx(

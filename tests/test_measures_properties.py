@@ -180,3 +180,23 @@ def test_refinement_matches_mixed_radix_kernel(dist, rng):
     rng.shuffle(subsets)
     for s in subsets:
         assert abs(dist.subset_entropy(s) - mixed_radix_entropy(dist, s)) <= 1e-12
+
+
+@given(repeated_row_tables(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subset_entropy_identical_across_argument_types(dist, data):
+    # Each argument form queries a fresh copy of the distribution cold, and
+    # then every form queries the first copy again, now warm.
+    m = dist.user_count
+    ids = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1), unique=True))
+    forms = [
+        frozenset(ids),
+        tuple(ids),
+        list(reversed(ids)),
+        [np.int64(i) for i in ids],
+        np.array(ids, dtype=np.int32),
+    ]
+    copies = [JointDistribution(m, dist.category_count, dist.atoms) for _ in forms]
+    cold = [copy.subset_entropy(form) for copy, form in zip(copies, forms)]
+    warm = [copies[0].subset_entropy(form) for form in forms]
+    assert len({value.hex() for value in cold + warm}) == 1
