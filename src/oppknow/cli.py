@@ -156,8 +156,8 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # The sample table is not kept: freeing its row tuples before the run
-    # lowers the command's peak memory.
+    # The sample table is not kept: freeing its array before the run lowers
+    # the command's peak memory.
     dist = JointDistribution.from_samples(read_sample_table(args.trace))
 
     if args.mesh:

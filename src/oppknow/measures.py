@@ -18,6 +18,11 @@ atoms that still share a block. Partitions with more than half the atoms
 still sharing are not cached, and the cache holds at most as many bytes as the
 outcome columns, evicting the least recently used partition first.
 
+The distribution keeps its atoms as arrays: one column per variable in the
+smallest integer dtype that holds every category, and the atom weights. The
+``atoms`` mapping of outcome tuples to weights is built from them the first
+time it is read; no query needs it.
+
 Entropies are memoized per variable subset, keyed by the validated
 ``frozenset`` of its ids. A frozenset that is already a memo key was checked
 when it was stored, so a repeat query with it (the simulation engine's
@@ -40,9 +45,10 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,9 +62,7 @@ from .errors import (
     OverlappingSets,
     SelfNotInKnowledgeSet,
 )
-
-if TYPE_CHECKING:
-    from .traces import SampleTable
+from .traces import SampleTable, category_dtype
 
 #: Negative results larger than this magnitude are treated as real bugs.
 ROUND_OFF_TOLERANCE = 1e-12
@@ -134,28 +138,21 @@ class JointDistribution:
 
         self.user_count = int(user_count)
         self.category_count = int(category_count)
-        # Outcomes are held in the smallest integer dtype that holds every
-        # category (uint64 would turn the int64 packing arithmetic into
-        # float64, so wide alphabets use int64).
-        dtype = np.min_scalar_type(self.category_count - 1)
-        if dtype.itemsize == 8:
-            dtype = np.dtype(np.int64)
         grid, weights = self._validated_atoms(atoms)
-        grid = grid.astype(dtype)
-
         # Canonical (sorted) atom order keeps query results independent of
         # the insertion order of equal tables. Rows sort as tuples do: by
         # the first column, then the second, and so on.
         order = np.lexsort(grid.T[::-1])
-        grid, weights = grid[order], weights[order]
-        # Row by row, so that only one row's list lives beside the tuples.
-        self.atoms: dict[tuple[int, ...], int] = dict(
-            zip((tuple(row.tolist()) for row in grid), weights.tolist())
-        )
-        self.total_weight = sum(self.atoms.values())
+        self._store(grid[order], weights[order])
 
-        # One contiguous column per variable.
-        self._columns = np.ascontiguousarray(grid.T)
+    def _store(self, grid: np.ndarray, weights: np.ndarray) -> None:
+        # ``grid`` holds the valid outcomes in canonical order, one row per
+        # atom, and ``weights`` their positive integer weights. They are
+        # kept as one contiguous column per variable and the weights.
+        self._columns = np.ascontiguousarray(grid.T, dtype=category_dtype(self.category_count))
+        self._counts = weights
+        # Summed as Python ints, so that no total overflows.
+        self.total_weight = int(weights.sum(dtype=object))
         self._weights = weights.astype(np.float64)
         self._entropy_memo: dict[frozenset[int], float] = {}
         self._partitions: OrderedDict[int, _Partition] = OrderedDict()
@@ -205,21 +202,33 @@ class JointDistribution:
         return np.array(list(clean), dtype=np.int64), np.array(list(clean.values()))
 
     @classmethod
-    def from_samples(cls, table: "SampleTable") -> "JointDistribution":
+    def from_samples(cls, table: SampleTable) -> "JointDistribution":
         """Estimate the joint PMF of a sample table by row multiplicity.
 
         Each distinct row becomes one atom weighted by its occurrence count;
         ``total_weight`` equals the number of rows.
         """
-        if not table.rows:
+        if not table.row_count:
             raise EmptyInput("sample table has no rows")
-        m = table.user_count
-        for row in table.rows:
-            if len(row) != m:
-                raise MalformedSamples(
-                    f"row {row!r} does not have length {m}"
-                )
-        return cls(m, table.category_count, Counter(table.rows))
+        # The table's ids are valid, and np.unique returns the distinct rows
+        # sorted as tuples sort: the canonical atom order.
+        grid, counts = np.unique(table.samples, axis=0, return_counts=True)
+        dist = cls.__new__(cls)
+        dist.user_count = table.user_count
+        dist.category_count = table.category_count
+        dist._store(grid, counts)
+        return dist
+
+    @cached_property
+    def atoms(self) -> dict[tuple[int, ...], int]:
+        """Outcome tuples mapped to their integer weights, in canonical order.
+
+        Built on first use; the entropy queries work on the arrays.
+        """
+        # Row by row, so that only one row's list lives beside the tuples.
+        return dict(
+            zip((tuple(row.tolist()) for row in self._columns.T), self._counts.tolist())
+        )
 
     # -- subset handling -------------------------------------------------------
 
@@ -431,5 +440,5 @@ class JointDistribution:
     def __repr__(self) -> str:
         return (
             f"JointDistribution(users={self.user_count}, categories={self.category_count}, "
-            f"atoms={len(self.atoms)}, total_weight={self.total_weight})"
+            f"atoms={self._weights.size}, total_weight={self.total_weight})"
         )

@@ -1,12 +1,22 @@
 """Activity traces: ingestion, per-user profiles, and synthetic generation.
 
-A :class:`SampleTable` holds one category assignment per user per time unit;
-it is the raw material from which
+A :class:`SampleTable` holds one category assignment per user per time unit
+as a read-only ``(T, M)`` integer array; it is the raw material from which
 :meth:`oppknow.measures.JointDistribution.from_samples` estimates the joint
 PMF. Real traces arrive as activity CSVs (``timestamp,user,category``
 triples); desk-scale experiments use :func:`synthesize_traces`, a
 one-parameter correlation family spanning fully independent users (rho = 0)
-to identical users (rho = 1).
+to identical users (rho = 1). Synthesis, unique tips and profiles are array
+operations on the table.
+
+Activity CSVs and trace files are read in two steps. One pass over the text,
+256 KB at a time, checks that the body holds only digits, commas and LF with
+no empty line and counts its lines; ``np.loadtxt`` then parses it straight
+from the file, and ranges and duplicates are checked as arrays. Input that
+any of these steps rejects (a bad field, a sign, a CR, a duplicate, an
+out-of-range id) is read again by the per-line loop, which accepts the same
+lenient forms it always has and is the only place that builds error
+messages, with their line numbers.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so equal
 seeds give byte-identical tables on every platform.
@@ -14,6 +24,7 @@ seeds give byte-identical tables on every platform.
 
 from __future__ import annotations
 
+import io
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -37,22 +48,81 @@ _UNIQUE_TIP_SEED = 0x517E
 
 MISSING_POLICIES = ("drop-row", "idle-category")
 
+_ACTIVITY_DTYPE = [("t", "i8"), ("u", "i4"), ("c", "i4")]
+# Characters per read of the check pass. Larger chunks make the pass, not
+# the parsed arrays, set the peak memory of files of a few MB.
+_CHUNK_CHARS = 1 << 18
+_PLAIN_BYTES = b"0123456789,\n"
+# Cells per block of a trace file write: bounds the block's string objects.
+_WRITE_BLOCK_CELLS = 1 << 16
 
-@dataclass(frozen=True)
+
+def category_dtype(category_count: int) -> np.dtype:
+    """Smallest integer dtype that holds every id in ``[0, category_count)``.
+
+    uint64 would turn int64 arithmetic on the ids into float64, so the widest
+    alphabets use int64.
+    """
+    dtype = np.min_scalar_type(category_count - 1)
+    return np.dtype(np.int64) if dtype.itemsize == 8 else dtype
+
+
+@dataclass(frozen=True, eq=False)
 class SampleTable:
-    """Time-indexed category assignments: one length-M row per time unit."""
+    """Time-indexed category assignments: one length-M row per time unit.
+
+    ``samples`` is a read-only ``(row_count, user_count)`` array in
+    :func:`category_dtype` of ``category_count``. The constructor also takes
+    any nested sequence of rows, such as a tuple of tuples; ragged rows,
+    non-integer ids and ids outside ``[0, category_count)`` raise
+    :class:`MalformedSamples`.
+    """
 
     user_count: int
     category_count: int
-    rows: tuple[tuple[int, ...], ...]
+    samples: np.ndarray
 
     def __post_init__(self):
         if self.user_count < 1 or self.category_count < 1:
             raise MalformedSamples("user_count and category_count must be >= 1")
+        m, v = self.user_count, self.category_count
+        try:
+            grid = np.asarray(self.samples)
+        except (ValueError, OverflowError):
+            grid = None
+        if grid is not None and grid.shape == (0,):
+            grid = grid.reshape(0, m)
+        if grid is None or grid.ndim != 2 or grid.shape[1] != m:
+            raise MalformedSamples(f"samples must be rows of length {m}")
+        if grid.size:
+            if grid.dtype.kind not in "iu":
+                raise MalformedSamples(f"category ids must be integers, got {grid.dtype}")
+            bad = (grid < 0) | (grid >= v)
+            if bad.any():
+                row = int(bad.any(axis=1).argmax())
+                raise MalformedSamples(f"row {row} has a category outside [0, {v})")
+        # A view, so that a caller's own array stays writeable.
+        grid = grid.astype(category_dtype(v), copy=False).view()
+        grid.flags.writeable = False
+        object.__setattr__(self, "samples", grid)
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.samples.shape[0]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The samples as a tuple of row tuples of Python ints."""
+        return tuple(map(tuple, self.samples.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        return (
+            self.user_count == other.user_count
+            and self.category_count == other.category_count
+            and np.array_equal(self.samples, other.samples)
+        )
 
 
 @dataclass(frozen=True)
@@ -78,6 +148,27 @@ class SynthConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
+def _plain_line_count(fh: io.TextIOBase) -> int | None:
+    # Reads the rest of ``fh`` a chunk at a time. Returns its line count if
+    # every line is a nonempty run of digits and commas ending in LF (the
+    # last one may lack it), else None. So np.loadtxt, which skips empty
+    # lines, parses one row per line, and no value has a sign.
+    lines, last = 0, b"\n"
+    try:
+        while chunk := fh.read(_CHUNK_CHARS):
+            if not chunk.isascii():
+                return None
+            data = chunk.encode("ascii")
+            # ``last`` ends the previous chunk (first, the header's LF).
+            if data.translate(None, _PLAIN_BYTES) or b"\n\n" in last + data:
+                return None
+            lines += data.count(b"\n")
+            last = data[-1:]
+    except UnicodeDecodeError:
+        return None
+    return lines + (last != b"\n")
+
+
 def parse_activity_csv(
     source: Iterable[str] | str,
     user_count: int,
@@ -95,11 +186,73 @@ def parse_activity_csv(
     * ``idle-category`` keeps every timestamp, assigns absent users the
       reserved category 0 and shifts observed category ids up by one, so the
       table alphabet becomes ``category_count + 1``.
+
+    A string or a seekable text file is parsed as arrays; any other iterable
+    of lines, and any input the array path rejects, is parsed line by line.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}")
+    fh = io.StringIO(source) if isinstance(source, str) else source
+    if isinstance(fh, io.TextIOBase) and fh.seekable():
+        start = fh.tell()
+        table = _parse_activity_plain(fh, user_count, category_count, missing_policy)
+        if table is not None:
+            return table
+        fh.seek(start)
     lines = source.splitlines() if isinstance(source, str) else source
+    return _parse_activity_lines(lines, user_count, category_count, missing_policy)
 
+
+def _parse_activity_plain(
+    fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
+) -> SampleTable | None:
+    # The array path; None hands the input to the per-line loop, which also
+    # reports counts below 1.
+    if user_count < 1 or category_count < 1:
+        return None
+    if fh.readline() not in (ACTIVITY_HEADER + "\n", ACTIVITY_HEADER):
+        return None
+    body = fh.tell()
+    lines = _plain_line_count(fh)
+    if lines is None:
+        return None
+    if lines:
+        fh.seek(body)
+        try:
+            obs = np.loadtxt(
+                fh, delimiter=",", comments=None, dtype=_ACTIVITY_DTYPE, ndmin=1
+            )
+        except (ValueError, OverflowError):
+            return None
+        if obs["u"].max() >= user_count or obs["c"].max() >= category_count:
+            return None
+    else:
+        obs = np.zeros(0, dtype=_ACTIVITY_DTYPE)
+
+    # One cell per (timestamp, user), timestamps in ascending order; a cell
+    # holds its category + 1, so 0 marks a user not observed.
+    stamps = np.unique(obs["t"])
+    cells = np.searchsorted(stamps, obs["t"])
+    cells *= user_count
+    cells += obs["u"]
+    grid = np.zeros(stamps.size * user_count, dtype=category_dtype(category_count + 1))
+    grid[cells] = obs["c"] + 1
+    del obs, cells
+    # Every observation fills one cell, so fewer filled cells than lines
+    # means a repeated (timestamp, user) pair.
+    if np.count_nonzero(grid) != lines:
+        return None
+    grid = grid.reshape(stamps.size, user_count)
+    if missing_policy == "drop-row":
+        grid = grid[grid.all(axis=1)]
+        grid -= 1
+        return SampleTable(user_count, category_count, grid)
+    return SampleTable(user_count, category_count + 1, grid)
+
+
+def _parse_activity_lines(
+    lines: Iterable[str], user_count: int, category_count: int, missing_policy: str
+) -> SampleTable:
     by_timestamp: dict[int, dict[int, int]] = {}
     header_seen = False
     line_number = 0
@@ -156,12 +309,10 @@ def profile_vector(table: SampleTable, user: int) -> np.ndarray:
     """Empirical category distribution of one user across all rows."""
     if not 0 <= user < table.user_count:
         raise BadVariableIndex(f"user {user} outside [0, {table.user_count})")
-    if not table.rows:
+    if not table.row_count:
         raise EmptyInput("cannot profile an empty table")
-    counts = np.zeros(table.category_count, dtype=np.int64)
-    for row in table.rows:
-        counts[row[user]] += 1
-    return counts / len(table.rows)
+    counts = np.bincount(table.samples[:, user], minlength=table.category_count)
+    return counts / table.row_count
 
 
 def synthesize_traces(config: SynthConfig) -> SampleTable:
@@ -174,20 +325,19 @@ def synthesize_traces(config: SynthConfig) -> SampleTable:
     category simplex).
     """
     m, v, t = config.user_count, config.category_count, config.row_count
+    dtype = category_dtype(v)
     rng = np.random.default_rng(config.seed)
 
     profiles = rng.exponential(1.0, size=(m, v))
     profiles /= profiles.sum(axis=1, keepdims=True)
 
-    latent = rng.integers(0, v, size=t)
+    latent = rng.integers(0, v, size=t).astype(dtype)
     copy_latent = rng.random(size=(t, m)) < config.correlation
-    private = np.empty((t, m), dtype=np.int64)
+    private = np.empty((t, m), dtype=dtype)
     for u in range(m):
         private[:, u] = rng.choice(v, size=t, p=profiles[u])
 
-    categories = np.where(copy_latent, latent[:, None], private)
-    rows = tuple(tuple(row) for row in categories.tolist())
-    return SampleTable(m, v, rows)
+    return SampleTable(m, v, np.where(copy_latent, latent[:, None], private))
 
 
 def inject_unique_tips(table: SampleTable) -> SampleTable:
@@ -199,18 +349,15 @@ def inject_unique_tips(table: SampleTable) -> SampleTable:
     other users, so ``H(X_i | rest) > 0`` for every user afterwards. The
     result is a pure function of the input table.
     """
-    if not table.rows:
+    if not table.row_count:
         raise EmptyInput("cannot inject unique tips into an empty table")
     m, v = table.user_count, table.category_count
     rng = np.random.default_rng(_UNIQUE_TIP_SEED)
-    baseline = table.rows[int(rng.integers(len(table.rows)))]
+    baseline = table.samples[int(rng.integers(table.row_count))]
 
-    appended = []
-    for user in range(m):
-        row = list(baseline)
-        row[user] = v + user
-        appended.append(tuple(row))
-    return SampleTable(m, v + m, table.rows + tuple(appended))
+    appended = np.tile(baseline.astype(category_dtype(v + m)), (m, 1))
+    np.fill_diagonal(appended, np.arange(v, v + m))
+    return SampleTable(m, v + m, np.concatenate((table.samples, appended)))
 
 
 # -- sample table files ----------------------------------------------------------
@@ -220,15 +367,50 @@ def inject_unique_tips(table: SampleTable) -> SampleTable:
 
 
 def write_sample_table(table: SampleTable, path: str | os.PathLike) -> None:
+    samples = table.samples
+    # Each id's text, looked up by the array, block by block of rows.
+    names = np.array([str(c) for c in range(int(samples.max(initial=0)) + 1)], dtype=object)
+    block = max(1, _WRITE_BLOCK_CELLS // table.user_count)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{table.user_count},{table.category_count},{table.row_count}\n")
-        for row in table.rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        for start in range(0, table.row_count, block):
+            rows = names[samples[start : start + block]].tolist()
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def read_sample_table(path: str | os.PathLike) -> SampleTable:
     with open(path, "r", encoding="ascii", newline="") as fh:
-        lines = fh.read().splitlines()
+        table = _read_sample_plain(fh)
+        if table is None:
+            fh.seek(0)
+            table = _read_sample_lines(fh.read().splitlines())
+    return table
+
+
+def _read_sample_plain(fh: io.TextIOBase) -> SampleTable | None:
+    # The array path; None hands the file to the per-line loop.
+    fields = fh.readline().removesuffix("\n").split(",")
+    if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields):
+        return None
+    m, v, t = map(int, fields)
+    body = fh.tell()
+    if m < 1 or v < 1 or _plain_line_count(fh) != t:
+        return None
+    if not t:
+        return SampleTable(m, v, ())
+    fh.seek(body)
+    try:
+        samples = np.loadtxt(
+            fh, delimiter=",", comments=None, dtype=category_dtype(v), ndmin=2
+        )
+    except (ValueError, OverflowError):
+        return None
+    if samples.shape != (t, m) or samples.max() >= v:
+        return None
+    return SampleTable(m, v, samples)
+
+
+def _read_sample_lines(lines: list[str]) -> SampleTable:
     if not lines:
         raise ParseError(1, "empty sample table file")
     header = lines[0].split(",")

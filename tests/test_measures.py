@@ -39,15 +39,20 @@ class TestFromSamples:
         with pytest.raises(EmptyInput):
             JointDistribution.from_samples(SampleTable(2, 2, ()))
 
+    def test_atoms_built_only_when_read(self):
+        dist = JointDistribution.from_samples(SampleTable(2, 2, ((1, 0), (0, 1), (1, 0))))
+        dist.subset_entropy([0, 1])
+        dist.knowledge_limit(0)
+        assert "atoms" not in vars(dist)
+        assert list(dist.atoms.items()) == [((0, 1), 1), ((1, 0), 2)]
+
     def test_ragged_rows_rejected(self):
-        table = SampleTable(2, 2, ((0, 0), (0, 1, 1)))
         with pytest.raises(MalformedSamples):
-            JointDistribution.from_samples(table)
+            JointDistribution.from_samples(SampleTable(2, 2, ((0, 0), (0, 1, 1))))
 
     def test_out_of_range_category_rejected(self):
-        table = SampleTable(2, 2, ((0, 5),))
         with pytest.raises(MalformedSamples):
-            JointDistribution.from_samples(table)
+            JointDistribution.from_samples(SampleTable(2, 2, ((0, 5),)))
 
 
 class TestSubsetEntropy:

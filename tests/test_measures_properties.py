@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppknow import JointDistribution, brute_subset_entropy, densify
+from oppknow import JointDistribution, SampleTable, brute_subset_entropy, densify
 
 
 @st.composite
@@ -159,16 +159,35 @@ def mixed_radix_entropy(dist, key):
 
 
 @st.composite
-def repeated_row_tables(draw):
-    """Tables of M<=8, v<=5 whose rows are drawn from a smaller pool, so rows repeat."""
+def repeated_row_samples(draw):
+    """Sample tables of M<=8, v<=5 whose rows are drawn from a smaller pool, so rows repeat."""
     m = draw(st.integers(min_value=1, max_value=8))
     v = draw(st.integers(min_value=1, max_value=5))
     pool_size = draw(st.integers(min_value=1, max_value=400))
     row_count = draw(st.integers(min_value=1, max_value=800))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pool = rng.integers(0, v, size=(pool_size, m))
-    rows = pool[rng.integers(0, pool_size, size=row_count)]
-    return JointDistribution(m, v, Counter(map(tuple, rows.tolist())))
+    return SampleTable(m, v, pool[rng.integers(0, pool_size, size=row_count)])
+
+
+@st.composite
+def repeated_row_tables(draw):
+    """Distributions over the rows of :func:`repeated_row_samples`."""
+    table = draw(repeated_row_samples())
+    return JointDistribution(table.user_count, table.category_count, Counter(table.rows))
+
+
+@given(repeated_row_samples())
+@settings(max_examples=60, deadline=None)
+def test_from_samples_matches_counter_of_rows(table):
+    # A Counter of row tuples was the estimator before np.unique over the
+    # sample array replaced it: same atoms in the same order, same entropies.
+    fast = JointDistribution.from_samples(table)
+    slow = JointDistribution(table.user_count, table.category_count, Counter(table.rows))
+    assert list(fast.atoms.items()) == list(slow.atoms.items())
+    assert fast.total_weight == slow.total_weight == table.row_count
+    for s in all_subsets(table.user_count):
+        assert fast.subset_entropy(s).hex() == slow.subset_entropy(s).hex()
 
 
 @given(repeated_row_tables(), st.randoms(use_true_random=False))

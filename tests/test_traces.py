@@ -18,6 +18,7 @@ from oppknow.errors import (
     BadVariableIndex,
     DuplicateObservation,
     EmptyInput,
+    MalformedSamples,
     OutOfRange,
     ParseError,
 )
@@ -98,6 +99,40 @@ class TestParseActivityCsv:
         )
         for user in range(2):
             assert profile_vector(table, user).sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSampleTable:
+    def test_samples_are_read_only(self):
+        own = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        table = SampleTable(2, 2, own)
+        with pytest.raises(ValueError):
+            table.samples[0, 0] = 1
+        assert own.flags.writeable
+
+    def test_dtype_is_the_smallest_that_holds_the_alphabet(self):
+        assert SampleTable(1, 256, ((255,),)).samples.dtype == np.uint8
+        assert SampleTable(1, 257, ((256,),)).samples.dtype == np.uint16
+
+    def test_equality_compares_sizes_and_values(self):
+        table = SampleTable(2, 3, ((0, 1), (2, 0)))
+        assert table == SampleTable(2, 3, np.array([[0, 1], [2, 0]], dtype=np.int64))
+        assert table != SampleTable(2, 4, ((0, 1), (2, 0)))
+        assert table != SampleTable(2, 3, ((0, 1),))
+        assert table != SampleTable(2, 3, ((0, 1), (2, 1)))
+        assert SampleTable(2, 3, ()) != SampleTable(3, 3, ())
+        assert table != table.rows
+
+    def test_rows_are_tuples_of_python_ints(self):
+        rows = SampleTable(2, 3, np.array([[0, 1], [2, 2]])).rows
+        assert rows == ((0, 1), (2, 2))
+        assert type(rows[0][0]) is int
+
+    @pytest.mark.parametrize(
+        "samples", [((0, 0), (0, 1, 1)), ((0, 0, 0),), ((0, 2),), ((0, -1),), ((0.0, 1.0),)]
+    )
+    def test_malformed_samples_rejected(self, samples):
+        with pytest.raises(MalformedSamples):
+            SampleTable(2, 2, samples)
 
 
 class TestProfileVector:
@@ -225,6 +260,34 @@ class TestSampleTableFiles:
         path = tmp_path / "trace.csv"
         write_sample_table(table, path)
         assert read_sample_table(path) == table
+
+    def test_wide_alphabet_round_trips_byte_identically(self, tmp_path):
+        # 300 users make each write block 218 rows, so 500 rows span three.
+        samples = np.random.default_rng(3).integers(0, 300, size=(500, 300))
+        table = SampleTable(300, 300, samples)
+        assert table.samples.dtype == np.uint16
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_sample_table(table, first)
+        expected = "300,300,500\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in samples.tolist()
+        )
+        assert first.read_text() == expected
+        back = read_sample_table(first)
+        assert back == table and back.samples.dtype == np.uint16
+        write_sample_table(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_idle_category_alphabet_round_trips_byte_identically(self, tmp_path):
+        table = parse_activity_csv(
+            csv_text("0,0,1", "1,1,0", "2,0,1", "2,1,1"), 2, 2, "idle-category"
+        )
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_sample_table(table, first)
+        assert first.read_text() == "2,3,3\n2,0\n0,1\n2,2\n"
+        back = read_sample_table(first)
+        assert back == table
+        write_sample_table(back, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_header_shape(self, tmp_path):
         table = SampleTable(2, 3, ((0, 2), (1, 1)))
