@@ -4,83 +4,64 @@ The package estimates a joint PMF of user activity from traces, computes each
 user's knowledge-gain limit (the entropy everyone jointly holds beyond the
 user's own), and simulates how close two sharing policies get to that limit
 over single-hop and fixed multi-hop topologies.
+
+Public names are imported from their submodules on first use, so importing
+the package (or ``oppknow.cli``) does not load numpy.
 """
 
+import importlib
+
 from . import errors
-from .engine import (
-    KnowledgeState,
-    MetricsRecord,
-    Policy,
-    apply_encounter,
-    encounter_overhead,
-    focal_schedule,
-    init_state,
-    read_metrics_csv,
-    round_robin_schedule,
-    run,
-    steps_to_limit,
-    write_metrics_csv,
-)
-from .measures import JointDistribution, nonnegative_bits
-from .reference import (
-    DenseDistribution,
-    brute_mutual_information,
-    brute_subset_entropy,
-    densify,
-)
-from .topology import (
-    Graph,
-    from_edge_list,
-    full_mesh,
-    random_geometric,
-    read_edge_list,
-    write_edge_list,
-)
-from .traces import (
-    SampleTable,
-    SynthConfig,
-    inject_unique_tips,
-    parse_activity_csv,
-    profile_vector,
-    read_sample_table,
-    synthesize_traces,
-    write_sample_table,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DenseDistribution",
-    "Graph",
-    "JointDistribution",
-    "KnowledgeState",
-    "MetricsRecord",
-    "Policy",
-    "SampleTable",
-    "SynthConfig",
-    "apply_encounter",
-    "brute_mutual_information",
-    "brute_subset_entropy",
-    "densify",
-    "encounter_overhead",
-    "errors",
-    "focal_schedule",
-    "from_edge_list",
-    "full_mesh",
-    "init_state",
-    "inject_unique_tips",
-    "nonnegative_bits",
-    "parse_activity_csv",
-    "profile_vector",
-    "random_geometric",
-    "read_edge_list",
-    "read_metrics_csv",
-    "read_sample_table",
-    "round_robin_schedule",
-    "run",
-    "steps_to_limit",
-    "synthesize_traces",
-    "write_edge_list",
-    "write_metrics_csv",
-    "write_sample_table",
-]
+# Public name -> submodule that defines it.
+_SUBMODULES = {
+    "DenseDistribution": "reference",
+    "Graph": "topology",
+    "JointDistribution": "measures",
+    "KnowledgeState": "engine",
+    "MetricsRecord": "metrics",
+    "Policy": "metrics",
+    "SampleTable": "traces",
+    "SynthConfig": "traces",
+    "apply_encounter": "engine",
+    "brute_mutual_information": "reference",
+    "brute_subset_entropy": "reference",
+    "densify": "reference",
+    "encounter_overhead": "engine",
+    "focal_schedule": "engine",
+    "from_edge_list": "topology",
+    "full_mesh": "topology",
+    "init_state": "engine",
+    "inject_unique_tips": "traces",
+    "nonnegative_bits": "measures",
+    "parse_activity_csv": "traces",
+    "profile_vector": "traces",
+    "random_geometric": "topology",
+    "read_edge_list": "topology",
+    "read_metrics_csv": "metrics",
+    "read_sample_table": "traces",
+    "round_robin_schedule": "engine",
+    "run": "engine",
+    "steps_to_limit": "engine",
+    "synthesize_traces": "traces",
+    "write_edge_list": "topology",
+    "write_metrics_csv": "metrics",
+    "write_sample_table": "traces",
+}
+
+__all__ = sorted([*_SUBMODULES, "errors"])
+
+
+def __getattr__(name: str):
+    module = _SUBMODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

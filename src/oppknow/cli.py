@@ -11,45 +11,64 @@ Subcommands:
 All randomness flows through explicit ``--seed`` style flags; identical flags
 and input files produce byte-identical outputs. Exit codes: 0 success,
 2 usage error, 3 input error, 4 internal-consistency failure.
+
+``synth``, ``ingest``, ``limits`` and ``simulate`` load the numpy-backed
+layers (traces, measures, topology, engine) after their arguments parse.
+``report`` reads metrics through :mod:`oppknow.metrics`, which needs only the
+standard library, so it, ``--help`` and usage errors start without numpy.
+The layer functions are still attributes of this module (a module
+``__getattr__`` resolves them on first lookup), so a profiler can look each
+one up and replace it with a wrapper before :func:`main` runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import sys
 
-import numpy as np
-
-from .engine import (
-    MetricsRecord,
-    Policy,
-    _fmt,
-    read_metrics_csv,
-    round_robin_schedule,
-    focal_schedule,
-    run,
-    steps_to_limit,
-    write_metrics_csv,
-)
 from .errors import (
+    MISSING_POLICIES,
     BadVariableIndex,
     EmptyInput,
     InternalConsistencyError,
     OppknowError,
     ShapeMismatch,
 )
-from .measures import JointDistribution
-from .topology import full_mesh, random_geometric, read_edge_list
-from .traces import (
-    MISSING_POLICIES,
-    SynthConfig,
-    inject_unique_tips,
-    parse_activity_csv,
-    read_sample_table,
-    synthesize_traces,
-    write_sample_table,
+from .metrics import MetricsRecord, Policy, _fmt, read_metrics_csv, write_metrics_csv
+
+# Numpy-backed names, taken from the package, which imports each one's
+# submodule on first use.
+_LAYERS = (
+    "JointDistribution",
+    "full_mesh",
+    "random_geometric",
+    "read_edge_list",
+    "SynthConfig",
+    "inject_unique_tips",
+    "parse_activity_csv",
+    "read_sample_table",
+    "synthesize_traces",
+    "write_sample_table",
+    "focal_schedule",
+    "round_robin_schedule",
+    "run",
+    "steps_to_limit",
 )
+
+
+def _load_layer(name: str):
+    # setdefault keeps a value already bound to the module attribute, such as
+    # a wrapper set in place of what __getattr__ returned before main ran.
+    package = importlib.import_module(__package__)
+    return globals().setdefault(name, getattr(package, name))
+
+
+def __getattr__(name: str):
+    if name not in _LAYERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _load_layer(name)
 
 
 # -- argparse value checks -------------------------------------------------------
@@ -85,7 +104,7 @@ def _node_id(text: str) -> int:
 
 def _radius(text: str) -> float:
     value = float(text)
-    if not 0.0 < value <= float(np.sqrt(2.0)):
+    if not 0.0 < value <= math.sqrt(2.0):
         raise argparse.ArgumentTypeError(f"{text!r} not in (0, sqrt(2)]")
     return value
 
@@ -308,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    if args.command != "report":
+        for name in _LAYERS:
+            _load_layer(name)
     try:
         return args.handler(args)
     except InternalConsistencyError as exc:

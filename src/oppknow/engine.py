@@ -25,56 +25,31 @@ part in the round; every other node keeps its set and its gain.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import (
     BadVariableIndex,
     NotAnEdge,
-    ParseError,
     SelfEncounter,
     ShapeMismatch,
 )
 from .measures import JointDistribution, nonnegative_bits
+# The metrics records and their CSV format are defined in .metrics, which
+# needs no numpy, and stay importable from here.
+from .metrics import (
+    METRICS_HEADER,
+    MetricsRecord,
+    Policy,
+    read_metrics_csv,
+    write_metrics_csv,
+)
 from .topology import Graph
-
-
-class Policy(Enum):
-    """Knowledge-sharing policy applied at every encounter."""
-
-    SEND_MINE_ONLY = "smo"
-    FORWARD_MINE_PLUS_OTHERS = "fmpo"
-
 
 KnowledgeState = tuple[frozenset[int], ...]
 Round = Sequence[tuple[int, int]]
 Schedule = Sequence[Round]
-
-METRICS_HEADER = "round,node,policy,kg_bits,kl_bits,oh_round_bits,oh_cum_bits,achieved"
-
-
-@dataclass(frozen=True, slots=True)
-class MetricsRecord:
-    """Per-node, per-round simulation metrics.
-
-    ``participated`` records whether the node was in one of the round's
-    pairs; it is bookkeeping for :func:`steps_to_limit` and is not part of
-    the metrics CSV schema.
-    """
-
-    round_index: int
-    node: int
-    policy: Policy
-    kg_bits: float
-    kl_bits: float
-    oh_round_bits: float
-    oh_cum_bits: float
-    achieved: bool
-    participated: bool = False
 
 
 def init_state(node_count: int) -> KnowledgeState:
@@ -304,53 +279,3 @@ def steps_to_limit(
         if record.kl_bits - record.kg_bits <= tol:
             return encounters
     return None
-
-
-# -- metrics files ----------------------------------------------------------
-#
-# Fixed 12-significant-digit decimal formatting keeps repeated runs of the
-# same scenario byte-identical.
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
-
-
-def write_metrics_csv(records: Sequence[MetricsRecord], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.round_index},{r.node},{r.policy.value},{_fmt(r.kg_bits)},"
-                f"{_fmt(r.kl_bits)},{_fmt(r.oh_round_bits)},{_fmt(r.oh_cum_bits)},"
-                f"{'true' if r.achieved else 'false'}\n"
-            )
-
-
-def read_metrics_csv(path: str | os.PathLike) -> list[MetricsRecord]:
-    """Read back a metrics CSV; participation flags are not serialized."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != METRICS_HEADER:
-        raise ParseError(1, f"expected header {METRICS_HEADER!r}")
-    records = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ParseError(line_number, f"expected 8 fields, got {len(fields)}")
-        try:
-            records.append(
-                MetricsRecord(
-                    round_index=int(fields[0]),
-                    node=int(fields[1]),
-                    policy=Policy(fields[2]),
-                    kg_bits=float(fields[3]),
-                    kl_bits=float(fields[4]),
-                    oh_round_bits=float(fields[5]),
-                    oh_cum_bits=float(fields[6]),
-                    achieved=fields[7] == "true",
-                )
-            )
-        except ValueError:
-            raise ParseError(line_number, f"malformed record {line!r}") from None
-    return records

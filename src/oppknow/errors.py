@@ -2,7 +2,8 @@
 
 Every error is a subclass of :class:`OppknowError`, so callers can catch the
 whole family with one clause. Parsing errors carry the 1-based line number of
-the offending input line.
+the offending input line. The module imports nothing, so the CLI loads it
+(and the missing-data policy names kept here) without loading numpy.
 """
 
 
@@ -53,6 +54,12 @@ class TooLarge(OppknowError):
 
 
 # --- trace ingestion errors ---------------------------------------------------
+
+# The activity-CSV reader's missing-data policies. They are defined here, in a
+# module with no numpy import, so that the CLI can offer them as choices
+# without loading the trace layer.
+MISSING_POLICIES = ("drop-row", "idle-category")
+
 
 class ParseError(OppknowError):
     """An input line could not be parsed."""

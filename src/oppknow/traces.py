@@ -35,6 +35,7 @@ from .errors import (
     BadVariableIndex,
     DuplicateObservation,
     EmptyInput,
+    MISSING_POLICIES,
     MalformedSamples,
     OutOfRange,
     ParseError,
@@ -45,8 +46,6 @@ ACTIVITY_HEADER = "timestamp,user,category"
 # Fixed internal seed for unique-tip injection, so the operation is a pure
 # function of the input table.
 _UNIQUE_TIP_SEED = 0x517E
-
-MISSING_POLICIES = ("drop-row", "idle-category")
 
 _ACTIVITY_DTYPE = [("t", "i8"), ("u", "i4"), ("c", "i4")]
 # Characters per read of the check pass. Larger chunks make the pass, not

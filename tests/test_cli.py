@@ -265,6 +265,20 @@ class TestReport:
         capsys.readouterr()
         assert code == 3
 
+    @pytest.mark.parametrize("achieved", ["maybe", "TRUE", ""])
+    def test_achieved_other_than_true_or_false_exits_3(
+        self, metrics_path, tmp_path, capsys, achieved
+    ):
+        lines = metrics_path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + achieved
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n", newline="\n")
+        out = tmp_path / "wide.csv"
+        code = main(["report", "--metrics", str(bad), "--nodes", "0", "--output", str(out)])
+        assert capsys.readouterr().err == f"error: line 3: malformed record {lines[2]!r}\n"
+        assert code == 3
+        assert not out.exists()
+
     def test_empty_metrics_exits_3(self, tmp_path, capsys):
         from oppknow.engine import METRICS_HEADER
 
