@@ -31,7 +31,6 @@ _SUBMODULES = {
     "densify": "reference",
     "encounter_overhead": "engine",
     "focal_schedule": "engine",
-    "from_edge_list": "topology",
     "full_mesh": "topology",
     "init_state": "engine",
     "inject_unique_tips": "traces",

@@ -10,7 +10,8 @@ Subcommands:
 
 All randomness flows through explicit ``--seed`` style flags; identical flags
 and input files produce byte-identical outputs. Exit codes: 0 success,
-2 usage error, 3 input error, 4 internal-consistency failure.
+2 usage error, 3 input error (including input or a requested size too large
+to hold in memory), 4 internal-consistency failure.
 
 ``synth``, ``ingest``, ``limits`` and ``simulate`` load the numpy-backed
 layers (traces, measures, topology, engine) after their arguments parse.
@@ -344,6 +345,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (OppknowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: input or requested size too large to hold in memory{detail}",
+              file=sys.stderr)
         return 3
 
 

@@ -10,8 +10,10 @@ any floating-point work.
 One kernel computes those entropies, by partition refinement. The projections
 onto a variable subset S are the blocks of a partition of the atoms. The
 kernel refines the partition of the largest cached subset of S by the columns
-S adds, or, when no subset of S is cached, builds it from the columns (one
-``np.unique`` per batch of columns that fits a 62-bit mixed-radix key). An
+S adds, or, when no subset of S is cached, builds it from the columns. One
+``np.lexsort`` orders the atoms by their parent block and then by their
+values in those columns, and a new block starts wherever one of these keys
+changes; no key is packed, so any alphabet that fits int64 ids works. An
 atom alone in its block never splits again: it is settled, and only its
 ``w * log2(w)`` term is kept. A cached partition therefore stores just the
 atoms that still share a block. Partitions with more than half the atoms
@@ -66,9 +68,6 @@ from .traces import SampleTable, category_dtype
 
 #: Negative results larger than this magnitude are treated as real bugs.
 ROUND_OFF_TOLERANCE = 1e-12
-
-# Packed projection keys stay below this bound, clear of int64 overflow.
-_PACK_LIMIT = 1 << 62
 
 
 def nonnegative_bits(value: float) -> float:
@@ -133,6 +132,8 @@ class JointDistribution:
             raise MalformedSamples("user_count must be >= 1")
         if category_count < 1:
             raise MalformedSamples("category_count must be >= 1")
+        # Raises for alphabets wider than the int64 ids the columns hold.
+        category_dtype(category_count)
         if not atoms:
             raise EmptyInput("a distribution needs at least one atom")
 
@@ -164,28 +165,8 @@ class JointDistribution:
         self, atoms: Mapping[tuple[int, ...], int]
     ) -> tuple[np.ndarray, np.ndarray]:
         # Outcomes as one (atoms, users) integer grid, and their weights.
-        # Integer outcomes of the right length and range with positive
-        # integer weights are checked as whole arrays. Anything else takes
-        # the per-outcome loop, which converts with int(), merges outcomes
-        # that convert to the same tuple, and raises the error for the first
-        # bad atom.
-        try:
-            grid = np.array(list(atoms))
-            weights = np.array(list(atoms.values()))
-        except (ValueError, TypeError, OverflowError):
-            grid = weights = None
-        if (
-            grid is not None
-            and grid.dtype.kind in "iu"
-            and grid.shape == (len(atoms), self.user_count)
-            and grid.min() >= 0
-            and grid.max() < self.category_count
-            and weights.dtype.kind in "iu"
-            and weights.shape == (len(atoms),)
-            and weights.min() > 0
-        ):
-            return grid, weights
-
+        # Each outcome is converted with int() and checked; outcomes that
+        # convert to the same tuple are merged, and the first bad atom raises.
         clean: dict[tuple[int, ...], int] = {}
         for outcome, weight in atoms.items():
             outcome = tuple(int(c) for c in outcome)
@@ -293,32 +274,35 @@ class JointDistribution:
         )
 
     def _refine(self, parent: _Partition | None, columns: Sequence[int]) -> _Partition:
-        # Pack each active atom's parent label and its values in ``columns``
-        # into one integer key (mixed radix), re-densifying the alphabet
-        # whenever the next column would overflow 2^62, then split blocks by
-        # equal keys. Atoms left alone in a block are settled.
-        v = self.category_count
+        # Sort the active atoms by their parent label, then by their values in
+        # ``columns``, as tuples sort. A block starts wherever one of these
+        # keys changes along that order. Atoms left alone in a block are
+        # settled.
         if parent is None:
-            rows, settled = None, 0.0
-            packed, capacity = np.zeros(self._weights.size, dtype=np.int64), 1
+            rows, settled, keys = None, 0.0, []
         else:
+            # In the smallest dtype that holds them, labels below 2^16 are
+            # radix-sorted; int32 labels would take a comparison sort.
             rows, settled = parent.rows, parent.settled
-            packed, capacity = parent.labels.astype(np.int64), parent.blocks
+            keys = [parent.labels.astype(category_dtype(parent.blocks))]
         for column in columns:
-            if capacity > _PACK_LIMIT // v:
-                uniques, packed = np.unique(packed, return_inverse=True)
-                capacity = len(uniques)
             values = self._columns[column]
-            packed = packed * v + (values if rows is None else values[rows])
-            capacity *= v
-        _, inverse, sizes = np.unique(packed, return_inverse=True, return_counts=True)
+            keys.append(values if rows is None else values[rows])
+        order = np.lexsort(keys[::-1])
+        starts = np.zeros(order.size, dtype=bool)
+        starts[:1] = True
+        for key in keys:
+            ordered = key[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        sizes = np.diff(np.flatnonzero(starts), append=order.size)
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(starts) - 1
         shared = sizes > 1
         active = shared[inverse]
         if rows is None:
             rows = np.arange(self._weights.size, dtype=np.int32)
         alone = self._weights[rows[~active]]
-        if alone.size:
-            settled += float(np.dot(alone, np.log2(alone)))
+        settled += float(np.dot(alone, np.log2(alone)))
         labels = (np.cumsum(shared, dtype=np.int32) - 1)[inverse[active]]
         return _Partition(rows[active], labels, int(shared.sum()), settled)
 

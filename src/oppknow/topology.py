@@ -28,7 +28,7 @@ MAX_PLACEMENT_ATTEMPTS = 1000
 
 
 class Graph:
-    """Immutable simple undirected graph on nodes ``0 .. node_count - 1``."""
+    """Immutable simple undirected graph on ``0 .. node_count - 1``; repeated edges collapse."""
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
         if node_count < 1:
@@ -111,11 +111,6 @@ def full_mesh(node_count: int) -> Graph:
         raise TooFewNodes("a mesh needs at least two nodes")
     edges = [(i, j) for i in range(node_count) for j in range(i + 1, node_count)]
     return Graph(node_count, edges)
-
-
-def from_edge_list(node_count: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Graph from explicit undirected pairs; duplicates collapse."""
-    return Graph(node_count, pairs)
 
 
 def random_geometric(node_count: int, radius: float, seed: int) -> Graph:

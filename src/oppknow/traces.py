@@ -60,8 +60,13 @@ def category_dtype(category_count: int) -> np.dtype:
     """Smallest integer dtype that holds every id in ``[0, category_count)``.
 
     uint64 would turn int64 arithmetic on the ids into float64, so the widest
-    alphabets use int64.
+    alphabets use int64, and a ``category_count`` above ``2**63`` raises
+    :class:`MalformedSamples`.
     """
+    if category_count > 1 << 63:
+        raise MalformedSamples(
+            f"category_count {category_count} exceeds 2**63: ids are stored as int64"
+        )
     dtype = np.min_scalar_type(category_count - 1)
     return np.dtype(np.int64) if dtype.itemsize == 8 else dtype
 
@@ -85,6 +90,7 @@ class SampleTable:
         if self.user_count < 1 or self.category_count < 1:
             raise MalformedSamples("user_count and category_count must be >= 1")
         m, v = self.user_count, self.category_count
+        dtype = category_dtype(v)
         try:
             grid = np.asarray(self.samples)
         except (ValueError, OverflowError):
@@ -95,13 +101,18 @@ class SampleTable:
             raise MalformedSamples(f"samples must be rows of length {m}")
         if grid.size:
             if grid.dtype.kind not in "iu":
-                raise MalformedSamples(f"category ids must be integers, got {grid.dtype}")
+                # Python ints past the int64 range come out as float64 or
+                # object cells; they are ids out of range, not non-integers.
+                cells = np.asarray(self.samples, dtype=object)
+                if not all(type(c) is int or isinstance(c, np.integer) for c in cells.flat):
+                    raise MalformedSamples(f"category ids must be integers, got {grid.dtype}")
+                grid = cells
             bad = (grid < 0) | (grid >= v)
             if bad.any():
                 row = int(bad.any(axis=1).argmax())
                 raise MalformedSamples(f"row {row} has a category outside [0, {v})")
         # A view, so that a caller's own array stays writeable.
-        grid = grid.astype(category_dtype(v), copy=False).view()
+        grid = grid.astype(dtype, copy=False).view()
         grid.flags.writeable = False
         object.__setattr__(self, "samples", grid)
 
@@ -206,8 +217,8 @@ def _parse_activity_plain(
     fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
 ) -> SampleTable | None:
     # The array path; None hands the input to the per-line loop, which also
-    # reports counts below 1.
-    if user_count < 1 or category_count < 1:
+    # reports counts below 1 and alphabets too wide for the grid's int64 ids.
+    if user_count < 1 or not 1 <= category_count < 1 << 63:
         return None
     if fh.readline() not in (ACTIVITY_HEADER + "\n", ACTIVITY_HEADER):
         return None

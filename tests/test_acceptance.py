@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oppknow import (
+    Graph,
     JointDistribution,
     Policy,
     SynthConfig,
@@ -21,7 +22,6 @@ from oppknow import (
     densify,
     encounter_overhead,
     focal_schedule,
-    from_edge_list,
     full_mesh,
     inject_unique_tips,
     random_geometric,
@@ -259,7 +259,7 @@ def test_criterion_6_multi_hop_smo_capped_by_neighborhood():
             synthesize_traces(SynthConfig(4, 3, 400, 0.4, 19))
         )
         dist = JointDistribution.from_samples(table)
-        path = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
         schedule = [[(0, 1)], [(1, 2)], [(2, 3)]] * 4
         records = run(dist, path, schedule, SMO, tol=1e-9)
 

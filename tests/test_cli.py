@@ -376,3 +376,64 @@ class TestNonAsciiInput:
             "--metrics", str(tmp_path / "m.csv"), "--summary", str(tmp_path / "s.csv"),
         ]
         assert self._run(capsys, argv) == 3
+
+
+class TestWideAlphabets:
+    """Ids are int64: alphabets up to 2**63 work, wider ones are input errors."""
+
+    def test_ids_near_two_to_the_63_give_exact_entropies(self, tmp_path, capsys):
+        # Three distinct rows, so H(all) = log2 3. Any int64 key packed with
+        # radix v from two of these columns would overflow.
+        trace = tmp_path / "t.csv"
+        trace.write_text("3,9223372036854775807,3\n0,2,0\n1,0,0\n4611686018427387904,4,0\n")
+        argv = ["limits", "--trace", str(trace), "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "joint_h_bits=1.58496250072"
+
+    def test_trace_alphabet_past_int64_exits_3(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("2,100000000000000000000,1\n0,0\n")
+        argv = ["limits", "--trace", str(trace), "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: category_count 100000000000000000000 exceeds 2**63: "
+            "ids are stored as int64\n"
+        )
+
+    @pytest.mark.parametrize("categories, policy, code", [
+        ("100000000000000000000", "drop-row", 3),
+        ("9223372036854775808", "drop-row", 0),
+        ("9223372036854775808", "idle-category", 3),
+    ])
+    def test_ingest_alphabet_at_and_past_int64(self, tmp_path, capsys, categories, policy, code):
+        # idle-category adds one category, which takes 2**63 past the limit.
+        src = tmp_path / "activity.csv"
+        src.write_text("timestamp,user,category\n0,0,1\n")
+        argv = ["ingest", "--input", str(src), "--users", "1", "--categories", categories,
+                "--missing-policy", policy, "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: category_count ") and err.count("\n") == 1
+        else:
+            assert read_sample_table(tmp_path / "t.csv").rows == ((1,),)
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 72.8 TiB for an array"),
+     "error: input or requested size too large to hold in memory: "
+     "Unable to allocate 72.8 TiB for an array\n"),
+    (MemoryError(), "error: input or requested size too large to hold in memory\n"),
+])
+def test_allocation_failure_exits_3(tmp_path, monkeypatch, capsys, error, message):
+    # The layer raises as numpy would for an allocation the host cannot hold;
+    # nothing large is allocated.
+    from oppknow import cli
+
+    def synthesize(config):
+        raise error
+
+    monkeypatch.setattr(cli, "synthesize_traces", synthesize)
+    assert cli.main(["synth", "--users", "2", "--categories", "2", "--rows", "10000000000000",
+                     "--rho", "0.5", "--seed", "1", "--output", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err == message

@@ -3,6 +3,7 @@
 import pytest
 
 from oppknow import (
+    Graph,
     JointDistribution,
     MetricsRecord,
     Policy,
@@ -10,7 +11,6 @@ from oppknow import (
     apply_encounter,
     encounter_overhead,
     focal_schedule,
-    from_edge_list,
     full_mesh,
     init_state,
     inject_unique_tips,
@@ -134,7 +134,7 @@ class TestApplyEncounter:
         assert same == state
 
     def test_edge_membership_enforced(self, triple_dist):
-        path = from_edge_list(3, [(0, 1), (1, 2)])
+        path = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotAnEdge):
             apply_encounter(triple_dist, init_state(3), 0, 2, SMO, path)
 
@@ -149,11 +149,11 @@ class TestSchedules:
         assert focal_schedule(g, 0) == [[(0, 1)], [(0, 2)], [(0, 3)]]
 
     def test_focal_single_neighbor(self):
-        g = from_edge_list(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         assert focal_schedule(g, 0) == [[(0, 1)]]
 
     def test_focal_isolated_node(self):
-        g = from_edge_list(3, [(1, 2)])
+        g = Graph(3, [(1, 2)])
         assert focal_schedule(g, 0) == []
 
     def test_round_robin_two_nodes(self):
@@ -198,7 +198,7 @@ class TestRun:
         assert steps_to_limit(records, 0) == 0
 
     def test_path_smo_converges_below_limit(self, triple_dist):
-        path = from_edge_list(3, [(0, 1), (1, 2)])
+        path = Graph(3, [(0, 1), (1, 2)])
         schedule = [[(0, 1)], [(1, 2)]] * 3
         records = run(triple_dist, path, schedule, SMO)
         final = [r for r in records if r.node == 0][-1]
@@ -233,7 +233,7 @@ class TestRun:
             run(small_dist, full_mesh(4), [[(0, 1)]], SMO)
 
     def test_non_edge_pair_rejected(self, triple_dist):
-        path = from_edge_list(3, [(0, 1), (1, 2)])
+        path = Graph(3, [(0, 1), (1, 2)])
         with pytest.raises(NotAnEdge):
             run(triple_dist, path, [[(0, 2)]], SMO)
 
@@ -330,7 +330,7 @@ class TestRunMatchesPreviousLoop:
 
 class TestPolicyInvariants:
     def test_smo_knowledge_stays_in_closed_neighborhood(self, small_dist):
-        g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         schedule = round_robin_schedule(g, 20, seed=1)
         state = init_state(5)
         for round_pairs in schedule:
@@ -340,7 +340,7 @@ class TestPolicyInvariants:
                 assert state[n] <= frozenset(g.neighbors(n)) | {n}
 
     def test_fmpo_knowledge_equals_temporal_reachability(self, small_dist):
-        g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         schedule = round_robin_schedule(g, 15, seed=6)
 
         # Independent check: spread each source forward through the rounds.

@@ -36,7 +36,6 @@ PUBLIC = {
     "densify": "reference",
     "encounter_overhead": "engine",
     "focal_schedule": "engine",
-    "from_edge_list": "topology",
     "full_mesh": "topology",
     "init_state": "engine",
     "inject_unique_tips": "traces",
@@ -60,8 +59,8 @@ ALL = [
     "DenseDistribution", "Graph", "JointDistribution", "KnowledgeState",
     "MetricsRecord", "Policy", "SampleTable", "SynthConfig", "apply_encounter",
     "brute_mutual_information", "brute_subset_entropy", "densify",
-    "encounter_overhead", "errors", "focal_schedule", "from_edge_list",
-    "full_mesh", "init_state", "inject_unique_tips", "nonnegative_bits",
+    "encounter_overhead", "errors", "focal_schedule", "full_mesh",
+    "init_state", "inject_unique_tips", "nonnegative_bits",
     "parse_activity_csv", "profile_vector", "random_geometric", "read_edge_list",
     "read_metrics_csv", "read_sample_table", "round_robin_schedule", "run",
     "steps_to_limit", "synthesize_traces", "write_edge_list", "write_metrics_csv",

@@ -54,6 +54,13 @@ class TestFromSamples:
         with pytest.raises(MalformedSamples):
             JointDistribution.from_samples(SampleTable(2, 2, ((0, 5),)))
 
+    def test_alphabet_past_two_to_the_63_rejected(self):
+        # Ids are stored as int64, so an id of 2**63 or more cannot be held.
+        with pytest.raises(MalformedSamples, match=r"exceeds 2\*\*63"):
+            JointDistribution(1, 2**64, {(2**63 + 5,): 1})
+        dist = JointDistribution(1, 2**63, {(2**63 - 1,): 1, (0,): 3})
+        assert dist.atoms == {(0,): 3, (2**63 - 1,): 1}
+
 
 class TestSubsetEntropy:
     def test_uniform_pair_joint(self, uniform_pair):

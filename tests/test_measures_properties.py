@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppknow import JointDistribution, SampleTable, brute_subset_entropy, densify
+from oppknow.measures import _Partition
 
 
 @st.composite
@@ -219,3 +221,107 @@ def test_subset_entropy_identical_across_argument_types(dist, data):
     cold = [copy.subset_entropy(form) for copy, form in zip(copies, forms)]
     warm = [copies[0].subset_entropy(form) for form in forms]
     assert len({value.hex() for value in cold + warm}) == 1
+
+
+def packed_refine(self, parent, columns):
+    """``JointDistribution._refine`` as it was before it sorted with ``np.lexsort``.
+
+    Kept verbatim, with its ``_PACK_LIMIT`` of 2^62 written out, as the
+    reference the sorting kernel is checked against. Its packed keys stay
+    exact only for small alphabets, such as those of ``repeated_row_tables``.
+    """
+    v = self.category_count
+    if parent is None:
+        rows, settled = None, 0.0
+        packed, capacity = np.zeros(self._weights.size, dtype=np.int64), 1
+    else:
+        rows, settled = parent.rows, parent.settled
+        packed, capacity = parent.labels.astype(np.int64), parent.blocks
+    for column in columns:
+        if capacity > (1 << 62) // v:
+            uniques, packed = np.unique(packed, return_inverse=True)
+            capacity = len(uniques)
+        values = self._columns[column]
+        packed = packed * v + (values if rows is None else values[rows])
+        capacity *= v
+    _, inverse, sizes = np.unique(packed, return_inverse=True, return_counts=True)
+    shared = sizes > 1
+    active = shared[inverse]
+    if rows is None:
+        rows = np.arange(self._weights.size, dtype=np.int32)
+    alone = self._weights[rows[~active]]
+    if alone.size:
+        settled += float(np.dot(alone, np.log2(alone)))
+    labels = (np.cumsum(shared, dtype=np.int32) - 1)[inverse[active]]
+    return _Partition(rows[active], labels, int(shared.sum()), settled)
+
+
+def assert_same_partition(new, old):
+    assert np.array_equal(new.rows, old.rows)
+    assert np.array_equal(new.labels, old.labels)
+    assert new.blocks == old.blocks
+    assert new.settled.hex() == old.settled.hex()
+
+
+@given(repeated_row_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sorting_kernel_builds_the_packed_kernels_partitions(dist, data):
+    m = dist.user_count
+    key = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    base = sorted(data.draw(st.sets(st.sampled_from(key))))
+    added = [i for i in key if i not in base]
+    if not base:
+        assert_same_partition(dist._refine(None, key), packed_refine(dist, None, key))
+        return
+    parent = dist._refine(None, base)
+    assert_same_partition(parent, packed_refine(dist, None, base))
+    assert_same_partition(dist._refine(parent, added), packed_refine(dist, parent, added))
+
+
+@given(repeated_row_tables(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_sorting_kernel_entropies_are_hex_identical_to_the_packed_kernel(dist, rng):
+    # Both copies answer the same shuffled queries, so each finds the same
+    # cached parents (or none) and refines them by the same columns.
+    subsets = [s for s in all_subsets(dist.user_count) if s]
+    rng.shuffle(subsets)
+    packed = JointDistribution(dist.user_count, dist.category_count, dist.atoms)
+    packed._refine = partial(packed_refine, packed)
+    for s in subsets:
+        assert dist.subset_entropy(s).hex() == packed.subset_entropy(s).hex()
+
+
+def counter_entropy(rows, key):
+    counts = Counter(tuple(row[i] for i in key) for row in rows)
+    total = len(rows)
+    return math.log2(total) - sum(c * math.log2(c) for c in counts.values()) / total
+
+
+@st.composite
+def wide_alphabet_samples(draw):
+    """Sample tables of M<=4 with v in [2**60, 2**63] and ids at multiples of v // 8.
+
+    Some alphabets are a small odd number times a power of two, such as
+    v = 3 * 2**61: a mixed-radix key over two of their columns passes 2**63,
+    and the wrapped keys of distinct rows coincide.
+    """
+    m = draw(st.integers(min_value=1, max_value=4))
+    v = draw(st.one_of(
+        st.integers(min_value=2**60, max_value=2**63),
+        st.sampled_from([1 << 60, 3 << 60, 5 << 60, 7 << 60, 3 << 61, 1 << 63]),
+    ))
+    row_count = draw(st.integers(min_value=1, max_value=500))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    ids = np.array([k * (v // 8) for k in range(8)] + [v - 1], dtype=np.int64)
+    return SampleTable(m, v, ids[rng.integers(0, ids.size, size=(row_count, m))])
+
+
+@given(wide_alphabet_samples(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_ids_near_two_to_the_63_match_a_counter(table, rng):
+    dist = JointDistribution.from_samples(table)
+    rows = table.rows
+    subsets = [s for s in all_subsets(table.user_count) if s]
+    rng.shuffle(subsets)
+    for s in subsets:
+        assert abs(dist.subset_entropy(s) - counter_entropy(rows, s)) <= 1e-12

@@ -5,7 +5,6 @@ import pytest
 
 from oppknow import (
     Graph,
-    from_edge_list,
     full_mesh,
     random_geometric,
     read_edge_list,
@@ -39,31 +38,31 @@ class TestFullMesh:
 
 class TestFromEdgeList:
     def test_path_graph(self):
-        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert g.is_connected()
         assert g.diameter() == 3
 
     def test_duplicates_collapse(self):
-        g = from_edge_list(2, [(0, 1), (1, 0)])
+        g = Graph(2, [(0, 1), (1, 0)])
         assert g.edge_count == 1
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
-            from_edge_list(3, [(2, 2)])
+            Graph(3, [(2, 2)])
 
     def test_invalid_node_rejected(self):
         with pytest.raises(InvalidEdge):
-            from_edge_list(3, [(0, 3)])
+            Graph(3, [(0, 3)])
 
 
 class TestQueries:
     def test_path_connected_and_diameter(self):
-        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         assert g.is_connected()
         assert g.diameter() == 3
 
     def test_two_isolated_edges_not_connected(self):
-        g = from_edge_list(4, [(0, 1), (2, 3)])
+        g = Graph(4, [(0, 1), (2, 3)])
         assert not g.is_connected()
         with pytest.raises(NotConnected):
             g.diameter()
@@ -78,7 +77,7 @@ class TestQueries:
             full_mesh(3).neighbors(3)
 
     def test_has_edge(self):
-        g = from_edge_list(3, [(0, 1)])
+        g = Graph(3, [(0, 1)])
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
 

@@ -134,6 +134,27 @@ class TestSampleTable:
         with pytest.raises(MalformedSamples):
             SampleTable(2, 2, samples)
 
+    def test_ids_up_to_two_to_the_63_are_int64(self):
+        table = SampleTable(1, 2**63, np.array([[2**63 - 1], [5]], dtype=np.uint64))
+        assert table.samples.dtype == np.int64
+        assert table.rows == ((2**63 - 1,), (5,))
+
+    @pytest.mark.parametrize("samples", [
+        np.array([[2**63], [5]], dtype=np.uint64), [[2**63], [5]], [[2**64], [5]], [[0], [1]],
+    ], ids=["uint64", "python-int", "past-uint64", "small-ids"])
+    def test_alphabet_past_two_to_the_63_rejected(self, samples):
+        # Ids are stored as int64, which cannot hold 2**63.
+        with pytest.raises(MalformedSamples, match=r"exceeds 2\*\*63"):
+            SampleTable(1, 2**64, samples)
+
+    @pytest.mark.parametrize("samples", [[[2**63], [5]], [[5], [2**64]], [[2**63], [-1]]])
+    def test_python_ints_past_int64_are_out_of_range(self, samples):
+        # numpy reads these rows as float64 or object cells, but they are
+        # integers: the error names the row, not a dtype.
+        row = next(r for r, (c,) in enumerate(samples) if not 0 <= c < 2**63)
+        with pytest.raises(MalformedSamples, match=rf"row {row} has a category outside"):
+            SampleTable(1, 2**63, samples)
+
 
 class TestProfileVector:
     def test_two_equal_counts(self):
