@@ -263,13 +263,17 @@ def steps_to_limit(
     Counts only rounds in which the node participated, up to and including
     the first round where the limit was met within ``tol``. Returns 0 when
     the limit is zero bits away from the start, and ``None`` when the node
-    never reaches it.
+    never reaches it. It needs :func:`run`'s records: those read back by
+    :func:`read_metrics_csv` do not know participation and raise ``ValueError``.
     """
     own = sorted(
         (r for r in records if r.node == node), key=lambda r: r.round_index
     )
     if not own:
         raise BadVariableIndex(f"no records for node {node}")
+    if any(r.participated is None for r in own):
+        raise ValueError(f"records of node {node} do not say whether it participated; "
+                         "a metrics CSV does not store that, so pass run's records")
     if own[0].kl_bits <= tol:
         return 0
     encounters = 0

@@ -33,8 +33,8 @@ class MetricsRecord:
     """Per-node, per-round simulation metrics.
 
     ``participated`` records whether the node was in one of the round's
-    pairs; it is bookkeeping for :func:`oppknow.engine.steps_to_limit` and is
-    not part of the metrics CSV schema.
+    pairs, or ``None`` if unknown; it is bookkeeping for
+    :func:`oppknow.engine.steps_to_limit` and not part of the metrics CSV.
     """
 
     round_index: int
@@ -45,7 +45,7 @@ class MetricsRecord:
     oh_round_bits: float
     oh_cum_bits: float
     achieved: bool
-    participated: bool = False
+    participated: bool | None = None
 
 
 # Fixed 12-significant-digit decimal formatting keeps repeated runs of the
@@ -72,7 +72,7 @@ def write_metrics_csv(records: Sequence[MetricsRecord], path: str | os.PathLike)
 
 
 def read_metrics_csv(path: str | os.PathLike) -> list[MetricsRecord]:
-    """Read back a metrics CSV; participation flags are not serialized.
+    """Read back a metrics CSV; each record's ``participated`` is ``None``.
 
     ``achieved`` must be exactly ``true`` or ``false``.
     """

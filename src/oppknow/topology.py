@@ -44,11 +44,13 @@ class Graph:
             normalized.add((min(i, j), max(i, j)))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
 
-        adjacency: list[list[int]] = [[] for _ in range(node_count)]
+        # Only nodes with an edge get an entry, so memory follows the edges,
+        # not the declared node count.
+        adjacency: dict[int, list[int]] = {}
         for i, j in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+            adjacency.setdefault(i, []).append(j)
+            adjacency.setdefault(j, []).append(i)
+        self._adjacency = {n: tuple(sorted(nbrs)) for n, nbrs in adjacency.items()}
 
     @property
     def edge_count(self) -> int:
@@ -58,7 +60,7 @@ class Graph:
         """Direct neighbors of ``node``, ascending, never including ``node``."""
         if not 0 <= node < self.node_count:
             raise BadVariableIndex(f"node {node} outside [0, {self.node_count})")
-        return self._adjacency[node]
+        return self._adjacency.get(node, ())
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
@@ -67,39 +69,28 @@ class Graph:
         return 2.0 * self.edge_count / self.node_count
 
     def has_edge(self, i: int, j: int) -> bool:
-        if not 0 <= i < self.node_count:
-            return False
-        return j in self._adjacency[i]
+        return j in self._adjacency.get(i, ())
 
-    def is_connected(self) -> bool:
-        if self.node_count == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for nbr in self._adjacency[node]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    queue.append(nbr)
-        return len(seen) == self.node_count
-
-    def _eccentricity(self, source: int) -> int:
-        dist = {source: 0}
+    def _hops(self, source: int) -> dict[int, int]:
+        """Breadth-first hop count from ``source`` to every node it reaches."""
+        hops = {source: 0}
         queue = deque([source])
         while queue:
             node = queue.popleft()
-            for nbr in self._adjacency[node]:
-                if nbr not in dist:
-                    dist[nbr] = dist[node] + 1
+            for nbr in self._adjacency.get(node, ()):
+                if nbr not in hops:
+                    hops[nbr] = hops[node] + 1
                     queue.append(nbr)
-        if len(dist) != self.node_count:
-            raise NotConnected("graph is not connected")
-        return max(dist.values())
+        return hops
+
+    def is_connected(self) -> bool:
+        return len(self._hops(0)) == self.node_count
 
     def diameter(self) -> int:
         """Longest shortest path; raises :class:`NotConnected` if disconnected."""
-        return max(self._eccentricity(s) for s in range(self.node_count))
+        if not self.is_connected():
+            raise NotConnected("graph is not connected")
+        return max(max(self._hops(s).values()) for s in range(self.node_count))
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
@@ -130,13 +121,7 @@ def random_geometric(node_count: int, radius: float, seed: int) -> Graph:
         points = rng.random((node_count, 2))
         deltas = points[:, None, :] - points[None, :, :]
         within = np.linalg.norm(deltas, axis=2) <= radius
-        edges = [
-            (i, j)
-            for i in range(node_count)
-            for j in range(i + 1, node_count)
-            if within[i, j]
-        ]
-        graph = Graph(node_count, edges)
+        graph = Graph(node_count, np.argwhere(np.triu(within, 1)).tolist())
         if graph.is_connected():
             return graph
     raise CouldNotConnect(

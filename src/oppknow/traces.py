@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -332,9 +333,12 @@ def synthesize_traces(config: SynthConfig) -> SampleTable:
     the latent value with probability ``correlation`` and otherwise samples
     from a private profile. Private profiles are drawn once per user as
     normalized independent unit-exponential weights (uniform over the
-    category simplex).
+    category simplex). A profile matrix over ``sys.maxsize`` bytes raises
+    :class:`MemoryError` before anything is drawn.
     """
     m, v, t = config.user_count, config.category_count, config.row_count
+    if m * v * 8 > sys.maxsize:
+        raise MemoryError(f"the ({m}, {v}) float64 profile matrix exceeds the address space")
     dtype = category_dtype(v)
     rng = np.random.default_rng(config.seed)
 
@@ -378,13 +382,19 @@ def inject_unique_tips(table: SampleTable) -> SampleTable:
 
 def write_sample_table(table: SampleTable, path: str | os.PathLike) -> None:
     samples = table.samples
-    # Each id's text, looked up by the array, block by block of rows.
-    names = np.array([str(c) for c in range(int(samples.max(initial=0)) + 1)], dtype=object)
+    # Each id's text, looked up by the array, block by block of rows. If the
+    # largest id is at least the cell count, only the ids present are named.
+    top = int(samples.max(initial=0))
+    present = np.unique(samples) if top >= samples.size else None
+    ids = range(top + 1) if present is None else present.tolist()
+    names = np.array([str(c) for c in ids], dtype=object)
     block = max(1, _WRITE_BLOCK_CELLS // table.user_count)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{table.user_count},{table.category_count},{table.row_count}\n")
         for start in range(0, table.row_count, block):
-            rows = names[samples[start : start + block]].tolist()
+            cells = samples[start : start + block]
+            cells = cells if present is None else np.searchsorted(present, cells)
+            rows = names[cells].tolist()
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 

@@ -56,6 +56,18 @@ class TestSynth:
         assert main(flags + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("categories", ["9223372036854775808", "4611686018427387904"])
+    def test_alphabet_too_wide_for_profiles_exits_3(self, tmp_path, capsys, categories):
+        code = main([
+            "synth", "--users", "2", "--categories", categories, "--rows", "5",
+            "--rho", "0.3", "--seed", "1", "--output", str(tmp_path / "t.csv"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: input or requested size too large to hold in memory: "
+            f"the (2, {categories}) float64 profile matrix exceeds the address space\n"
+        )
+
     def test_rho_out_of_range_is_usage_error(self, tmp_path, capsys):
         code = main([
             "synth", "--users", "4", "--categories", "6", "--rows", "10",
@@ -91,6 +103,21 @@ class TestIngest:
         ])
         assert code == 0
         assert read_sample_table(out).rows == ((2, 0),)
+
+    def test_sparse_category_ids(self, tmp_path, capsys):
+        src = tmp_path / "activity.csv"
+        src.write_text(
+            "timestamp,user,category\n0,0,3000000\n0,1,5\n1,0,7\n1,1,0\n",
+            newline="\n",
+        )
+        out = tmp_path / "trace.csv"
+        code = main([
+            "ingest", "--input", str(src), "--users", "2", "--categories", "3000001",
+            "--output", str(out),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == "M=2 v=3000001 T=2\n"
+        assert out.read_bytes() == b"2,3000001,2\n3000000,5\n7,0\n"
 
     def test_parse_error_exits_3(self, tmp_path, capsys):
         src = tmp_path / "activity.csv"
@@ -204,6 +231,22 @@ class TestSimulate:
         ])
         capsys.readouterr()
         assert code == 3
+
+    def test_declared_node_count_far_above_users_exits_3(self, tmp_path, capsys):
+        # The graph holds its one edge, not two million adjacency entries.
+        trace = tmp_path / "t.csv"
+        trace.write_text("3,2,2\n0,1,0\n1,0,1\n", newline="\n")
+        edges = tmp_path / "edges.txt"
+        edges.write_text("2000000\n0 1\n", newline="\n")
+        code = main([
+            "simulate", "--trace", str(trace), "--edges", str(edges),
+            "--policy", "smo", "--focal", "0",
+            "--metrics", str(tmp_path / "m.csv"), "--summary", str(tmp_path / "s.csv"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: distribution has 3 users but topology has 2000000 nodes\n"
+        )
 
     def test_conflicting_topologies_is_usage_error(self, trace_m20, tmp_path, capsys):
         code = main([

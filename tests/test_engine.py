@@ -377,6 +377,19 @@ class TestStepsToLimit:
         with pytest.raises(BadVariableIndex):
             steps_to_limit(records, 99)
 
+    def test_needs_run_records_not_metrics_read_back(self, tmp_path):
+        table = inject_unique_tips(synthesize_traces(SynthConfig(5, 4, 300, 0.3, 1)))
+        dist = JointDistribution.from_samples(table)
+        mesh = full_mesh(5)
+        records = run(dist, mesh, focal_schedule(mesh, 0), SMO)
+        assert steps_to_limit(records, 0) == 4
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(records, path)
+        back = read_metrics_csv(path)
+        assert all(r.participated is None for r in back)
+        with pytest.raises(ValueError, match="do not say whether it participated"):
+            steps_to_limit(back, 0)
+
     def test_counts_only_participation_rounds(self, small_dist):
         # focal schedule for node 0: node 4 participates once, in round 3.
         g = full_mesh(5)

@@ -1,7 +1,14 @@
 """Tests for topology construction and graph queries."""
 
+import math
+import tracemalloc
+from collections import deque
+from collections.abc import Iterable
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oppknow import (
     Graph,
@@ -19,6 +26,204 @@ from oppknow.errors import (
     SelfLoop,
     TooFewNodes,
 )
+from oppknow.topology import MAX_PLACEMENT_ATTEMPTS
+
+
+# -- references -----------------------------------------------------------------
+#
+# The graph kept one adjacency tuple per declared node, with two searches, and
+# random_geometric collected its pairs in a Python loop. Both are kept verbatim
+# (only renamed) as the references the edge-keyed versions must match.
+
+
+class ReferenceGraph:
+    """Immutable simple undirected graph on ``0 .. node_count - 1``; repeated edges collapse."""
+
+    def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
+        if node_count < 1:
+            raise TooFewNodes("a graph needs at least one node")
+        self.node_count = int(node_count)
+        normalized = set()
+        for i, j in edges:
+            i, j = int(i), int(j)
+            if i == j:
+                raise SelfLoop(f"edge ({i}, {j}) is a self-loop")
+            if not (0 <= i < node_count and 0 <= j < node_count):
+                raise InvalidEdge(f"edge ({i}, {j}) outside [0, {node_count})")
+            normalized.add((min(i, j), max(i, j)))
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
+
+        adjacency: list[list[int]] = [[] for _ in range(node_count)]
+        for i, j in self.edges:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def neighbors(self, node: int) -> tuple[int, ...]:
+        """Direct neighbors of ``node``, ascending, never including ``node``."""
+        if not 0 <= node < self.node_count:
+            raise BadVariableIndex(f"node {node} outside [0, {self.node_count})")
+        return self._adjacency[node]
+
+    def degree(self, node: int) -> int:
+        return len(self.neighbors(node))
+
+    def mean_degree(self) -> float:
+        return 2.0 * self.edge_count / self.node_count
+
+    def has_edge(self, i: int, j: int) -> bool:
+        if not 0 <= i < self.node_count:
+            return False
+        return j in self._adjacency[i]
+
+    def is_connected(self) -> bool:
+        if self.node_count == 1:
+            return True
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            node = queue.popleft()
+            for nbr in self._adjacency[node]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    queue.append(nbr)
+        return len(seen) == self.node_count
+
+    def _eccentricity(self, source: int) -> int:
+        dist = {source: 0}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            for nbr in self._adjacency[node]:
+                if nbr not in dist:
+                    dist[nbr] = dist[node] + 1
+                    queue.append(nbr)
+        if len(dist) != self.node_count:
+            raise NotConnected("graph is not connected")
+        return max(dist.values())
+
+    def diameter(self) -> int:
+        """Longest shortest path; raises :class:`NotConnected` if disconnected."""
+        return max(self._eccentricity(s) for s in range(self.node_count))
+
+    def __repr__(self) -> str:
+        return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
+
+
+def reference_random_geometric(node_count: int, radius: float, seed: int) -> ReferenceGraph:
+    """Connected disk-model graph on uniform points in the unit square.
+
+    Nodes within ``radius`` of each other are joined. Placement is retried
+    (advancing the seeded stream) until the graph comes out connected;
+    after 1000 failures the radius is considered too small for the node
+    count and :class:`CouldNotConnect` is raised.
+    """
+    if node_count < 2:
+        raise TooFewNodes("a geometric graph needs at least two nodes")
+    if not 0.0 < radius <= float(np.sqrt(2.0)):
+        raise ValueError("radius must lie in (0, sqrt(2)]")
+    rng = np.random.default_rng(seed)
+    for _ in range(MAX_PLACEMENT_ATTEMPTS):
+        points = rng.random((node_count, 2))
+        deltas = points[:, None, :] - points[None, :, :]
+        within = np.linalg.norm(deltas, axis=2) <= radius
+        edges = [
+            (i, j)
+            for i in range(node_count)
+            for j in range(i + 1, node_count)
+            if within[i, j]
+        ]
+        graph = ReferenceGraph(node_count, edges)
+        if graph.is_connected():
+            return graph
+    raise CouldNotConnect(
+        f"no connected placement in {MAX_PLACEMENT_ATTEMPTS} attempts "
+        f"(radius {radius} too small for {node_count} nodes?)"
+    )
+
+
+def diameter_or_error(graph):
+    try:
+        return graph.diameter()
+    except NotConnected as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_graph(graph, reference):
+    n = reference.node_count
+    assert graph.node_count == n
+    assert graph.edges == reference.edges
+    assert graph.edge_count == reference.edge_count
+    assert [graph.neighbors(v) for v in range(n)] == [reference.neighbors(v) for v in range(n)]
+    for i in range(-1, n + 1):
+        for j in range(-1, n + 1):
+            assert graph.has_edge(i, j) == reference.has_edge(i, j)
+    assert graph.is_connected() == reference.is_connected()
+    assert diameter_or_error(graph) == diameter_or_error(reference)
+
+
+@st.composite
+def node_counts_and_edges(draw):
+    n = draw(st.integers(1, 30))
+    if n == 1:
+        return n, []
+    node = st.integers(0, n - 1)
+    pairs = st.tuples(node, node).filter(lambda pair: pair[0] != pair[1])
+    return n, draw(st.lists(pairs, max_size=3 * n))
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(node_counts_and_edges())
+    def test_graph_matches_reference(self, case):
+        n, edges = case
+        assert_same_graph(Graph(n, edges), ReferenceGraph(n, edges))
+
+    @pytest.mark.parametrize("seed", range(15))
+    @pytest.mark.parametrize("radius", [0.2, 0.35, 0.5, 1.0, math.sqrt(2.0)])
+    @pytest.mark.parametrize("node_count", [2, 3, 7, 20, 50, 100])
+    def test_random_geometric_matches_reference(self, node_count, radius, seed):
+        try:
+            reference = reference_random_geometric(node_count, radius, seed)
+        except CouldNotConnect as exc:
+            with pytest.raises(CouldNotConnect) as raised:
+                random_geometric(node_count, radius, seed)
+            assert str(raised.value) == str(exc)
+        else:
+            assert_same_graph(random_geometric(node_count, radius, seed), reference)
+
+
+class TestMemoryFollowsEdges:
+    """A graph holds its edges, not one entry per declared node."""
+
+    NODES = 2_000_000
+
+    @staticmethod
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            graph = build()
+            return graph, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_constructor(self):
+        graph, peak = self.traced_peak(lambda: Graph(self.NODES, [(0, 1)]))
+        assert peak < 1 << 20
+        assert graph.neighbors(self.NODES - 1) == ()
+        assert graph.neighbors(1) == (0,)
+        assert not graph.is_connected()
+
+    def test_edge_list_file(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text(f"{self.NODES}\n0 1\n", newline="\n")
+        graph, peak = self.traced_peak(lambda: read_edge_list(path))
+        assert peak < 1 << 20
+        assert (graph.node_count, graph.edges) == (self.NODES, ((0, 1),))
 
 
 class TestFullMesh:

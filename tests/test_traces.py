@@ -207,6 +207,13 @@ class TestSynthesizeTraces:
         write_sample_table(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("category_count", [2**63, 2**62])
+    def test_profile_matrix_past_address_space_raises_memory_error(self, category_count):
+        # Raised before any draw: numpy would refuse the (2, v) float64
+        # matrix with a ValueError or its own MemoryError.
+        with pytest.raises(MemoryError, match=rf"\(2, {category_count}\) float64 profile matrix"):
+            synthesize_traces(SynthConfig(2, category_count, 5, 0.3, 1))
+
     def test_different_seeds_differ(self):
         a = synthesize_traces(SynthConfig(5, 6, 300, 0.4, 1))
         b = synthesize_traces(SynthConfig(5, 6, 300, 0.4, 2))
@@ -297,6 +304,36 @@ class TestSampleTableFiles:
         assert back == table and back.samples.dtype == np.uint16
         write_sample_table(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+    def test_sparse_ids_are_named_without_the_id_range(self, tmp_path):
+        # The largest id is far above the number of cells, so only the four
+        # ids present are named; naming range(3_000_001) traces about 200 MB.
+        import tracemalloc
+
+        table = SampleTable(2, 3_000_001, [[3_000_000, 5], [7, 0]])
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_sample_table(table, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == b"2,3000001,2\n3000000,5\n7,0\n"
+        assert peak < 5 << 20
+
+    def test_sparse_ids_round_trip_across_blocks(self, tmp_path):
+        # 300 users make each write block 218 rows, so 500 rows span three;
+        # 300 distinct ids up to 2,990,000 exceed the 150,000 cells.
+        rng = np.random.default_rng(5)
+        samples = rng.integers(0, 300, size=(500, 300)) * 10_000
+        table = SampleTable(300, 3_000_000, samples)
+        path = tmp_path / "trace.csv"
+        write_sample_table(table, path)
+        expected = "300,3000000,500\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in samples.tolist()
+        )
+        assert path.read_text() == expected
+        assert read_sample_table(path) == table
 
     def test_idle_category_alphabet_round_trips_byte_identically(self, tmp_path):
         table = parse_activity_csv(
