@@ -337,9 +337,9 @@ def synthesize_traces(config: SynthConfig) -> SampleTable:
     :class:`MemoryError` before anything is drawn.
     """
     m, v, t = config.user_count, config.category_count, config.row_count
+    dtype = category_dtype(v)
     if m * v * 8 > sys.maxsize:
         raise MemoryError(f"the ({m}, {v}) float64 profile matrix exceeds the address space")
-    dtype = category_dtype(v)
     rng = np.random.default_rng(config.seed)
 
     profiles = rng.exponential(1.0, size=(m, v))
@@ -382,19 +382,15 @@ def inject_unique_tips(table: SampleTable) -> SampleTable:
 
 def write_sample_table(table: SampleTable, path: str | os.PathLike) -> None:
     samples = table.samples
-    # Each id's text, looked up by the array, block by block of rows. If the
-    # largest id is at least the cell count, only the ids present are named.
-    top = int(samples.max(initial=0))
-    present = np.unique(samples) if top >= samples.size else None
-    ids = range(top + 1) if present is None else present.tolist()
-    names = np.array([str(c) for c in ids], dtype=object)
+    # The text of each id present, looked up block by block of rows, so
+    # memory follows the cells and not the largest id.
+    present = np.unique(samples)
+    names = np.array([str(c) for c in present.tolist()], dtype=object)
     block = max(1, _WRITE_BLOCK_CELLS // table.user_count)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{table.user_count},{table.category_count},{table.row_count}\n")
         for start in range(0, table.row_count, block):
-            cells = samples[start : start + block]
-            cells = cells if present is None else np.searchsorted(present, cells)
-            rows = names[cells].tolist()
+            rows = names[np.searchsorted(present, samples[start : start + block])].tolist()
             fh.write("\n".join(map(",".join, rows)) + "\n")
 
 

@@ -443,6 +443,17 @@ class TestWideAlphabets:
             "ids are stored as int64\n"
         )
 
+    def test_synth_alphabet_past_int64_exits_3(self, tmp_path, capsys):
+        # The id width is checked before the profile matrix's size.
+        argv = ["synth", "--users", "2", "--categories", "100000000000000000000",
+                "--rows", "5", "--rho", "0.3", "--seed", "1",
+                "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: category_count 100000000000000000000 exceeds 2**63: "
+            "ids are stored as int64\n"
+        )
+
     @pytest.mark.parametrize("categories, policy, code", [
         ("100000000000000000000", "drop-row", 3),
         ("9223372036854775808", "drop-row", 0),

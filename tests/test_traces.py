@@ -306,8 +306,8 @@ class TestSampleTableFiles:
         assert second.read_bytes() == first.read_bytes()
 
     def test_sparse_ids_are_named_without_the_id_range(self, tmp_path):
-        # The largest id is far above the number of cells, so only the four
-        # ids present are named; naming range(3_000_001) traces about 200 MB.
+        # Only the four ids present are named; naming range(3_000_001)
+        # traces about 200 MB.
         import tracemalloc
 
         table = SampleTable(2, 3_000_001, [[3_000_000, 5], [7, 0]])
@@ -323,7 +323,7 @@ class TestSampleTableFiles:
 
     def test_sparse_ids_round_trip_across_blocks(self, tmp_path):
         # 300 users make each write block 218 rows, so 500 rows span three;
-        # 300 distinct ids up to 2,990,000 exceed the 150,000 cells.
+        # the 300 distinct ids run up to 2,990,000.
         rng = np.random.default_rng(5)
         samples = rng.integers(0, 300, size=(500, 300)) * 10_000
         table = SampleTable(300, 3_000_000, samples)
