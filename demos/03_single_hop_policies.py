@@ -25,13 +25,14 @@ mesh = full_mesh(M)
 
 # --- deterministic focal walk: node 0 meets 1, 2, ..., M-1 in turn ---------
 
-records = run(dist, mesh, focal_schedule(mesh, 0), Policy.SEND_MINE_ONLY)
+walk = focal_schedule(mesh, 0)
+records = run(dist, mesh, walk, Policy.SEND_MINE_ONLY)
 own = [r for r in records if r.node == 0]
 print(f"focal node 0 under send-mine-only (limit {own[0].kl_bits:.3f} bits):")
 for r in own:
     bar = "#" * int(40 * r.kg_bits / r.kl_bits)
     print(f"  after encounter {r.round_index + 1:2d}: {r.kg_bits:7.3f} bits |{bar}")
-print(f"  reached the limit in {steps_to_limit(records, 0)} encounters "
+print(f"  reached the limit in {steps_to_limit(records, 0, walk)} encounters "
       f"(worst case is M-1 = {M - 1})")
 print()
 
@@ -46,8 +47,8 @@ for node in range(M):
     final_smo = [r for r in rec_smo if r.node == node][-1]
     final_fmpo = [r for r in rec_fmpo if r.node == node][-1]
     print(f"{node:>4} {final_smo.kl_bits:>8.3f} "
-          f"{str(steps_to_limit(rec_smo, node)):>10} "
-          f"{str(steps_to_limit(rec_fmpo, node)):>11} "
+          f"{str(steps_to_limit(rec_smo, node, schedule)):>10} "
+          f"{str(steps_to_limit(rec_fmpo, node, schedule)):>11} "
           f"{final_smo.oh_cum_bits:>13.1f} {final_fmpo.oh_cum_bits:>14.1f}")
 
 print()

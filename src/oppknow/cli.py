@@ -37,7 +37,7 @@ from .errors import (
     OppknowError,
     ShapeMismatch,
 )
-from .metrics import MetricsRecord, Policy, _fmt, read_metrics_csv, write_metrics_csv
+from .metrics import Policy, _fmt, read_metrics_csv, write_metrics_csv
 
 # Numpy-backed names, taken from the package, which imports each one's
 # submodule on first use.
@@ -189,6 +189,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     if args.focal is not None:
         schedule = focal_schedule(graph, args.focal)
+        if not schedule:
+            raise ShapeMismatch(f"focal node {args.focal} has no neighbors")
     else:
         schedule = round_robin_schedule(graph, args.round_robin, args.schedule_seed)
 
@@ -196,16 +198,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     records = run(dist, graph, schedule, policy, args.tol)
     write_metrics_csv(records, args.metrics)
 
-    by_node: dict[int, list[MetricsRecord]] = {}
-    for record in records:
-        by_node.setdefault(record.node, []).append(record)
+    # run emits one record per node per round, ids ascending.
     lines = ["node,kl_bits,kg_bits,achieved,steps_to_limit,oh_bits"]
     for node in range(graph.node_count):
-        own = by_node.get(node)
-        if own is None:
-            raise ShapeMismatch(f"no metrics emitted for node {node}")
+        own = records[node :: graph.node_count]
         final = own[-1]
-        steps = steps_to_limit(own, node, args.tol)
+        steps = steps_to_limit(own, node, schedule, args.tol)
         steps_text = "" if steps is None else str(steps)
         achieved = "true" if final.achieved else "false"
         lines.append(

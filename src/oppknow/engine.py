@@ -241,45 +241,33 @@ def run(
                 oh_cum[n] += oh_round[n]
             records.append(
                 MetricsRecord(
-                    round_index=round_index,
-                    node=n,
-                    policy=policy,
-                    kg_bits=kg[n],
-                    kl_bits=limits[n],
-                    oh_round_bits=oh_round[n],
-                    oh_cum_bits=oh_cum[n],
-                    achieved=(limits[n] - kg[n]) <= tol,
-                    participated=participated[n],
+                    round_index, n, policy, kg[n], limits[n], oh_round[n],
+                    oh_cum[n], (limits[n] - kg[n]) <= tol,
                 )
             )
     return records
 
 
 def steps_to_limit(
-    records: Sequence[MetricsRecord], node: int, tol: float = 1e-9
+    records: Sequence[MetricsRecord], node: int, schedule: Schedule, tol: float = 1e-9
 ) -> int | None:
     """Encounters a node needed before its gain reached its limit.
 
-    Counts only rounds in which the node participated, up to and including
-    the first round where the limit was met within ``tol``. Returns 0 when
-    the limit is zero bits away from the start, and ``None`` when the node
-    never reaches it. It needs :func:`run`'s records: those read back by
-    :func:`read_metrics_csv` do not know participation and raise ``ValueError``.
+    Counts the rounds of ``schedule`` in which the node is in a pair, up to
+    and including the first round whose record meets the limit within
+    ``tol``. Returns 0 when the limit is zero bits away from the start, and
+    ``None`` when the node never reaches it. ``records`` may be :func:`run`'s
+    or those read back by :func:`read_metrics_csv`.
     """
-    own = sorted(
-        (r for r in records if r.node == node), key=lambda r: r.round_index
-    )
+    own = [r for r in records if r.node == node]
     if not own:
         raise BadVariableIndex(f"no records for node {node}")
-    if any(r.participated is None for r in own):
-        raise ValueError(f"records of node {node} do not say whether it participated; "
-                         "a metrics CSV does not store that, so pass run's records")
     if own[0].kl_bits <= tol:
         return 0
-    encounters = 0
-    for record in own:
-        if record.participated:
-            encounters += 1
-        if record.kl_bits - record.kg_bits <= tol:
-            return encounters
-    return None
+    reached = [r.round_index for r in own if r.kl_bits - r.kg_bits <= tol]
+    if not reached:
+        return None
+    return sum(
+        any(node in pair for pair in round_pairs)
+        for round_pairs in schedule[: min(reached) + 1]
+    )

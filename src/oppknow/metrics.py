@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -28,14 +28,9 @@ class Policy(Enum):
 METRICS_HEADER = "round,node,policy,kg_bits,kl_bits,oh_round_bits,oh_cum_bits,achieved"
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRecord:
-    """Per-node, per-round simulation metrics.
-
-    ``participated`` records whether the node was in one of the round's
-    pairs, or ``None`` if unknown; it is bookkeeping for
-    :func:`oppknow.engine.steps_to_limit` and not part of the metrics CSV.
-    """
+class MetricsRecord(NamedTuple):
+    """Per-node, per-round simulation metrics: one metrics-CSV row, its
+    fields in :data:`METRICS_HEADER` order."""
 
     round_index: int
     node: int
@@ -45,7 +40,6 @@ class MetricsRecord:
     oh_round_bits: float
     oh_cum_bits: float
     achieved: bool
-    participated: bool | None = None
 
 
 # Fixed 12-significant-digit decimal formatting keeps repeated runs of the
@@ -72,10 +66,7 @@ def write_metrics_csv(records: Sequence[MetricsRecord], path: str | os.PathLike)
 
 
 def read_metrics_csv(path: str | os.PathLike) -> list[MetricsRecord]:
-    """Read back a metrics CSV; each record's ``participated`` is ``None``.
-
-    ``achieved`` must be exactly ``true`` or ``false``.
-    """
+    """Read back a metrics CSV; ``achieved`` must be exactly ``true`` or ``false``."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
@@ -86,8 +77,7 @@ def read_metrics_csv(path: str | os.PathLike) -> list[MetricsRecord]:
         if len(fields) != 8:
             raise ParseError(line_number, f"expected 8 fields, got {len(fields)}")
         try:
-            # The columns are in the record's field order; positional
-            # arguments build a record faster than keywords.
+            # The columns are in the record's field order.
             records.append(
                 MetricsRecord(
                     int(fields[0]),

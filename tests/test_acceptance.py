@@ -175,13 +175,14 @@ def test_criterion_3_single_hop_smo_reaches_limit():
         )
         dist = JointDistribution.from_samples(table)
         graph = full_mesh(20)
-        records = run(dist, graph, focal_schedule(graph, 0), SMO, tol=1e-9)
+        schedule = focal_schedule(graph, 0)
+        records = run(dist, graph, schedule, SMO, tol=1e-9)
 
         own = [r for r in records if r.node == 0]
         gains = [r.kg_bits for r in own]
         assert all(a <= b + 1e-12 for a, b in zip(gains, gains[1:]))
         assert abs(own[-1].kl_bits - own[-1].kg_bits) <= 1e-9
-        steps = steps_to_limit(records, 0, tol=1e-9)
+        steps = steps_to_limit(records, 0, schedule, tol=1e-9)
         assert steps is not None and steps <= 19
         assert time.perf_counter() - started < 10.0
 
@@ -195,8 +196,8 @@ def test_criterion_4_single_hop_fmpo_never_slower(desk_dist):
         for node in range(20):
             final = [r for r in records_fmpo if r.node == node][-1]
             assert final.achieved
-            steps_f = steps_to_limit(records_fmpo, node, tol=1e-9)
-            steps_s = steps_to_limit(records_smo, node, tol=1e-9)
+            steps_f = steps_to_limit(records_fmpo, node, schedule, tol=1e-9)
+            steps_s = steps_to_limit(records_smo, node, schedule, tol=1e-9)
             assert steps_f is not None
             if steps_s is not None:
                 assert steps_f <= steps_s
@@ -276,7 +277,7 @@ def test_criterion_6_multi_hop_smo_capped_by_neighborhood():
             final = [r for r in records if r.node == node][-1]
             assert abs(final.kg_bits - ceiling) <= 1e-9
             assert final.kl_bits - final.kg_bits >= min_unique - 1e-9
-            assert steps_to_limit(records, node, tol=1e-9) is None
+            assert steps_to_limit(records, node, schedule, tol=1e-9) is None
 
 
 def test_criterion_7_multi_hop_fmpo_achieves_everywhere(desk_dist):

@@ -248,6 +248,22 @@ class TestSimulate:
             "error: distribution has 3 users but topology has 2000000 nodes\n"
         )
 
+    def test_focal_node_without_neighbors_exits_3_writing_nothing(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("3,2,2\n0,1,0\n1,0,1\n", newline="\n")
+        edges = tmp_path / "edges.txt"
+        edges.write_text("3\n0 1\n", newline="\n")
+        metrics, summary = tmp_path / "m.csv", tmp_path / "s.csv"
+        code = main([
+            "simulate", "--trace", str(trace), "--edges", str(edges),
+            "--policy", "smo", "--focal", "2",
+            "--metrics", str(metrics), "--summary", str(summary),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: focal node 2 has no neighbors\n"
+        assert not metrics.exists()
+        assert not summary.exists()
+
     def test_conflicting_topologies_is_usage_error(self, trace_m20, tmp_path, capsys):
         code = main([
             "simulate", "--trace", str(trace_m20), "--mesh", "--geometric", "0.3",

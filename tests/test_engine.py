@@ -1,6 +1,8 @@
 """Tests for the encounter engine: policies, schedules, runs, metrics."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oppknow import (
     Graph,
@@ -25,6 +27,7 @@ from oppknow import (
 from oppknow.engine import METRICS_HEADER
 from oppknow.errors import (
     BadVariableIndex,
+    CouldNotConnect,
     NotAnEdge,
     SelfEncounter,
     ShapeMismatch,
@@ -181,21 +184,23 @@ class TestSchedules:
 class TestRun:
     def test_focal_smo_reaches_limit_in_m_minus_1(self, small_dist):
         g = full_mesh(5)
-        records = run(small_dist, g, focal_schedule(g, 0), SMO)
+        schedule = focal_schedule(g, 0)
+        records = run(small_dist, g, schedule, SMO)
         final = [r for r in records if r.node == 0][-1]
         assert final.achieved
         assert abs(final.kl_bits - final.kg_bits) <= 1e-9
-        assert steps_to_limit(records, 0) == 4
+        assert steps_to_limit(records, 0, schedule) == 4
 
     def test_identical_users_achieved_from_round_zero(self):
         table = synthesize_traces(SynthConfig(3, 3, 120, 1.0, 5))
         dist = JointDistribution.from_samples(table)
         g = full_mesh(3)
-        records = run(dist, g, round_robin_schedule(g, 4, seed=0), SMO)
+        schedule = round_robin_schedule(g, 4, seed=0)
+        records = run(dist, g, schedule, SMO)
         for record in records:
             assert record.kg_bits == pytest.approx(0.0, abs=1e-12)
             assert record.achieved
-        assert steps_to_limit(records, 0) == 0
+        assert steps_to_limit(records, 0, schedule) == 0
 
     def test_path_smo_converges_below_limit(self, triple_dist):
         path = Graph(3, [(0, 1), (1, 2)])
@@ -207,7 +212,7 @@ class TestRun:
         gap = triple_dist.conditional_entropy([2], [0, 1])
         assert gap > 0.0
         assert final.kl_bits - final.kg_bits >= gap - 1e-9
-        assert steps_to_limit(records, 0) is None
+        assert steps_to_limit(records, 0, schedule) is None
 
     def test_gain_monotone_and_bounded(self, small_dist):
         g = full_mesh(5)
@@ -298,7 +303,6 @@ def previous_run(dist, graph, schedule, policy, tol=1e-9):
                     oh_round_bits=oh_round[n],
                     oh_cum_bits=oh_cum[n],
                     achieved=(limits[n] - kg) <= tol,
-                    participated=participated[n],
                 )
             )
     return records
@@ -324,8 +328,6 @@ class TestRunMatchesPreviousLoop:
         expected = previous_run(JointDistribution.from_samples(table), graph, schedule, policy)
         actual = run(JointDistribution.from_samples(table), graph, schedule, policy)
         assert actual == expected
-        if kind == "focal":
-            assert sum(r.participated for r in actual) == 2 * len(schedule)
 
 
 class TestPolicyInvariants:
@@ -358,47 +360,102 @@ class TestPolicyInvariants:
                 assert state[n] == frozenset(s for s in range(5) if n in reach[s])
 
 
+def replayed_steps(records, node, schedule, node_count, tol=1e-9):
+    """Steps to the limit counted from a participation list replayed from the
+    schedule round by round, as ``run`` builds it."""
+    own = sorted((r for r in records if r.node == node), key=lambda r: r.round_index)
+    if own[0].kl_bits <= tol:
+        return 0
+    encounters = 0
+    for record, round_pairs in zip(own, schedule):
+        participated = [False] * node_count
+        for i, j in round_pairs:
+            participated[i] = participated[j] = True
+        encounters += participated[node]
+        if record.kl_bits - record.kg_bits <= tol:
+            return encounters
+    return None
+
+
 class TestStepsToLimit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        node_count=st.integers(3, 12),
+        radius=st.floats(0.3, 1.0),
+        seed=st.integers(0, 2**16),
+        unique_tips=st.booleans(),
+        kind=st.sampled_from(["round-robin", "focal"]),
+        rounds=st.integers(1, 12),
+        policy=st.sampled_from([SMO, FMPO]),
+        data=st.data(),
+    )
+    def test_run_records_read_back_and_replay_agree(
+        self, tmp_path_factory, node_count, radius, seed, unique_tips, kind, rounds,
+        policy, data,
+    ):
+        try:
+            graph = random_geometric(node_count, radius, seed)
+        except CouldNotConnect:
+            assume(False)
+        table = synthesize_traces(SynthConfig(node_count, 3, 60, 0.4, seed))
+        if unique_tips:
+            table = inject_unique_tips(table)
+        dist = JointDistribution.from_samples(table)
+        if kind == "focal":
+            schedule = focal_schedule(graph, data.draw(st.integers(0, node_count - 1)))
+        else:
+            schedule = round_robin_schedule(graph, rounds, seed)
+        records = run(dist, graph, schedule, policy)
+        path = tmp_path_factory.mktemp("steps") / "metrics.csv"
+        write_metrics_csv(records, path)
+        back = read_metrics_csv(path)
+        for node in range(node_count):
+            expected = replayed_steps(records, node, schedule, node_count)
+            assert steps_to_limit(records, node, schedule) == expected
+            assert steps_to_limit(back, node, schedule) == expected
+
     def test_fmpo_never_slower_than_smo(self, small_dist):
         g = full_mesh(5)
         schedule = round_robin_schedule(g, 40, seed=4)
         records_smo = run(small_dist, g, schedule, SMO)
         records_fmpo = run(small_dist, g, schedule, FMPO)
         for node in range(5):
-            s_smo = steps_to_limit(records_smo, node)
-            s_fmpo = steps_to_limit(records_fmpo, node)
+            s_smo = steps_to_limit(records_smo, node, schedule)
+            s_fmpo = steps_to_limit(records_fmpo, node, schedule)
             assert s_fmpo is not None
             if s_smo is not None:
                 assert s_fmpo <= s_smo
 
     def test_unknown_node(self, small_dist):
         g = full_mesh(5)
-        records = run(small_dist, g, focal_schedule(g, 0), SMO)
+        schedule = focal_schedule(g, 0)
+        records = run(small_dist, g, schedule, SMO)
         with pytest.raises(BadVariableIndex):
-            steps_to_limit(records, 99)
+            steps_to_limit(records, 99, schedule)
 
-    def test_needs_run_records_not_metrics_read_back(self, tmp_path):
+    def test_records_read_back_give_the_same_steps(self, tmp_path):
         table = inject_unique_tips(synthesize_traces(SynthConfig(5, 4, 300, 0.3, 1)))
         dist = JointDistribution.from_samples(table)
         mesh = full_mesh(5)
-        records = run(dist, mesh, focal_schedule(mesh, 0), SMO)
-        assert steps_to_limit(records, 0) == 4
+        schedule = focal_schedule(mesh, 0)
+        records = run(dist, mesh, schedule, SMO)
+        assert steps_to_limit(records, 0, schedule) == 4
         path = tmp_path / "metrics.csv"
         write_metrics_csv(records, path)
-        back = read_metrics_csv(path)
-        assert all(r.participated is None for r in back)
-        with pytest.raises(ValueError, match="do not say whether it participated"):
-            steps_to_limit(back, 0)
+        assert steps_to_limit(read_metrics_csv(path), 0, schedule) == 4
 
     def test_counts_only_participation_rounds(self, small_dist):
-        # focal schedule for node 0: node 4 participates once, in round 3.
-        g = full_mesh(5)
-        records = run(small_dist, g, focal_schedule(g, 0), SMO)
-        own = [r for r in records if r.node == 4]
-        assert [r.participated for r in own] == [False, False, False, True]
+        # Node 0 sits out rounds 0 and 2; fmpo hands it everyone's knowledge
+        # in round 3, its second encounter.
+        schedule = [[(1, 2)], [(0, 1)], [(3, 4)], [(0, 3)], [(0, 2)], [(0, 4)]]
+        records = run(small_dist, full_mesh(5), schedule, FMPO)
+        assert steps_to_limit(records, 0, schedule) == 2
 
 
 class TestMetricsFiles:
+    def test_record_fields_are_the_header_columns(self):
+        assert len(MetricsRecord._fields) == len(METRICS_HEADER.split(","))
+
     def test_round_trip(self, small_dist, tmp_path):
         g = full_mesh(5)
         records = run(small_dist, g, focal_schedule(g, 0), SMO)

@@ -2,8 +2,9 @@
 
 ``import oppknow``, ``import oppknow.cli``, ``oppknow report``, ``--help`` and
 usage errors must not import numpy: each is checked in a fresh interpreter,
-since this test process has loaded numpy long before. The public names still
-resolve to the objects their submodules define.
+since this test process has loaded numpy long before. ``report`` also loads
+neither ``dataclasses`` nor ``inspect``. The public names still resolve to the
+objects their submodules define.
 """
 
 import importlib
@@ -68,16 +69,19 @@ ALL = [
 ]
 
 # Runs oppknow.cli as __main__ with the given arguments; the last line of
-# stdout reports the exit code and whether numpy was loaded.
+# stdout reports the exit code, whether numpy was loaded, and which of
+# dataclasses and inspect the command loaded that were not loaded before.
 RUN_CLI = """
 import json, runpy, sys
+slow = [name for name in ("dataclasses", "inspect") if name not in sys.modules]
 sys.argv = ["oppknow", *json.loads(sys.argv[1])]
 try:
     runpy.run_module("oppknow.cli", run_name="__main__", alter_sys=True)
     code = 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "loaded": [name for name in slow if name in sys.modules]}))
 """
 
 
@@ -112,8 +116,10 @@ def test_cheap_commands_load_no_numpy(tmp_path, argv, code):
         newline="\n",
     )
     result, done = _python(RUN_CLI, json.dumps(argv), cwd=tmp_path)
-    assert result == {"code": code, "numpy": False}, done.stderr
+    assert (result["code"], result["numpy"]) == (code, False), done.stderr
     if argv[0] == "report" and code == 0:
+        # A metrics record is a named tuple, not a dataclass.
+        assert result["loaded"] == []
         assert (tmp_path / "wide.csv").read_text() == (
             "round,node_0_kg,node_0_kl,node_1_kg,node_1_kl\n0,0,1.5,0,2\n1,1.5,1.5,1,2\n"
         )
