@@ -237,6 +237,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         header.append(f"node_{node}_kg")
         header.append(f"node_{node}_kl")
     lines = [",".join(header)]
+    # Far fewer values than fields are distinct, so each is formatted once.
+    # 0.0 and -0.0 are one key but print differently, so zeros are not kept.
+    text: dict[float, str] = {}
     for round_index in rounds:
         fields = [str(round_index)]
         for node in args.nodes:
@@ -245,8 +248,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 raise ShapeMismatch(
                     f"metrics file lacks node {node} at round {round_index}"
                 )
-            fields.append(_fmt(record.kg_bits))
-            fields.append(_fmt(record.kl_bits))
+            for value in (record.kg_bits, record.kl_bits):
+                cell = text.get(value)
+                if cell is None:
+                    cell = _fmt(value)
+                    if value:
+                        text[value] = cell
+                fields.append(cell)
         lines.append(",".join(fields))
     with open(args.output, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,11 +21,18 @@ and are applied simultaneously against the pre-round state, so results do not
 depend on pair order inside a round. :func:`run` updates only the two partners
 of each encounter and recomputes the knowledge gain only of nodes that took
 part in the round; every other node keeps its set and its gain.
+
+Inside :func:`run` a knowledge set is a Python int bit mask (bit ``n`` set
+means source ``n`` is held), kept beside its entropy, and the distribution is
+asked once for each set the run has not seen yet. The public API
+(:data:`KnowledgeState`, :func:`init_state`, :func:`apply_encounter`,
+:func:`encounter_overhead`) still takes and returns frozensets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -59,54 +66,48 @@ def init_state(node_count: int) -> KnowledgeState:
     return tuple(frozenset([n]) for n in range(node_count))
 
 
-def _group_overhead(
-    dist: JointDistribution,
-    sent: frozenset[int],
-    held: frozenset[int],
-    joint: frozenset[int],
-) -> float:
-    """Shared information between a transmitted group and a held group.
-
-    ``H(sent) + H(held) - H(joint)`` with ``joint = sent ∪ held``; equals the
-    mutual information when the groups are disjoint and remains valid when
-    they overlap.
-    """
-    return nonnegative_bits(
-        dist.subset_entropy(sent)
-        + dist.subset_entropy(held)
-        - dist.subset_entropy(joint)
-    )
+def _members(mask: int) -> list[int]:
+    """The members of a bit mask, ascending."""
+    return [n for n in range(mask.bit_length()) if mask >> n & 1]
 
 
 def _encounter(
-    dist: JointDistribution,
-    state: Sequence[frozenset[int]],
+    know: Callable[[int], tuple[int, float]],
+    entropy: Callable[[int], float],
+    node_count: int,
     i: int,
     j: int,
     policy: Policy,
     graph: Graph | None,
-) -> tuple[frozenset[int], frozenset[int], tuple[float, float]]:
-    """Check one encounter's pair; return both partners' new sets and the overheads.
+) -> tuple[int, int, float, float, tuple[float, float]]:
+    """Check one encounter's pair; return both partners' new sets, their
+    entropies and the overheads.
 
-    Each partner's new set is the union its overhead needs, so it is built
-    once.
+    Sets are bit masks. ``know(n)`` gives node ``n``'s set and its entropy,
+    and ``entropy`` gives the entropy of any other set. Each partner's new
+    set is the union its overhead needs, so it is built and queried once.
+    An overhead is ``H(sent) + H(held) - H(sent ∪ held)``.
     """
     if i == j:
         raise SelfEncounter(f"node {i} cannot encounter itself")
-    if not (0 <= i < len(state) and 0 <= j < len(state)):
-        raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {len(state)})")
+    if not (0 <= i < node_count and 0 <= j < node_count):
+        raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {node_count})")
     if graph is not None and not graph.has_edge(i, j):
         raise NotAnEdge(f"({i}, {j}) is not an edge of the topology")
-    know_i, know_j = state[i], state[j]
+    # Shift Python ints only: a numpy id would wrap at 64 bits.
+    i, j = operator.index(i), operator.index(j)
+    (know_i, h_i), (know_j, h_j) = know(i), know(j)
     if policy is Policy.SEND_MINE_ONLY:
-        new_i, new_j = know_i | {j}, know_j | {i}
-        return new_i, new_j, (
-            _group_overhead(dist, frozenset([i]), know_j, new_j),
-            _group_overhead(dist, frozenset([j]), know_i, new_i),
-        )
+        new_i, new_j = know_i | 1 << j, know_j | 1 << i
+        h_new_j = entropy(new_j)
+        oh_i = nonnegative_bits(entropy(1 << i) + h_j - h_new_j)
+        h_new_i = entropy(new_i)
+        oh_j = nonnegative_bits(entropy(1 << j) + h_i - h_new_i)
+        return new_i, new_j, h_new_i, h_new_j, (oh_i, oh_j)
     merged = know_i | know_j
-    shared = _group_overhead(dist, know_i, know_j, merged)
-    return merged, merged, (shared, shared)
+    h_merged = entropy(merged)
+    shared = nonnegative_bits(h_i + h_j - h_merged)
+    return merged, merged, h_merged, h_merged, (shared, shared)
 
 
 def encounter_overhead(
@@ -124,7 +125,7 @@ def encounter_overhead(
     forward-mine-plus-others both sides transmit their full knowledge sets
     and incur the same overhead.
     """
-    return _encounter(dist, state, i, j, policy, None)[2]
+    return apply_encounter(dist, state, i, j, policy)[2]
 
 
 def apply_encounter(
@@ -141,18 +142,26 @@ def apply_encounter(
     knowledge gain; nodes outside the pair are unchanged. When ``graph`` is
     given the pair must be one of its edges.
     """
-    new_i, new_j, overheads = _encounter(dist, state, i, j, policy, graph)
+
+    def know(n: int) -> tuple[int, float]:
+        # Querying the set first checks its ids before they are shifted.
+        bits = dist.subset_entropy(state[n])
+        return sum(1 << int(m) for m in state[n]), bits
+
+    def entropy(mask: int) -> float:
+        return dist.subset_entropy(_members(mask))
+
+    new_i, new_j, h_new_i, h_new_j, overheads = _encounter(
+        know, entropy, len(state), i, j, policy, graph
+    )
     deltas = {
-        i: nonnegative_bits(
-            dist.subset_entropy(new_i) - dist.subset_entropy(state[i])
-        ),
-        j: nonnegative_bits(
-            dist.subset_entropy(new_j) - dist.subset_entropy(state[j])
-        ),
+        i: nonnegative_bits(h_new_i - dist.subset_entropy(state[i])),
+        j: nonnegative_bits(h_new_j - dist.subset_entropy(state[j])),
     }
+    set_i, set_j = frozenset(_members(new_i)), frozenset(_members(new_j))
     new_state = tuple(
-        new_i if n == i else new_j if n == j else know
-        for n, know in enumerate(state)
+        set_i if n == i else set_j if n == j else held
+        for n, held in enumerate(state)
     )
     return new_state, deltas, overheads
 
@@ -178,7 +187,7 @@ def round_robin_schedule(
     for _ in range(rounds):
         matching = []
         used: set[int] = set()
-        for index in rng.permutation(len(edges)):
+        for index in rng.permutation(len(edges)).tolist():
             i, j = edges[index]
             if i not in used and j not in used:
                 matching.append((i, j))
@@ -208,7 +217,23 @@ def run(
     node_count = graph.node_count
     limits = [dist.knowledge_limit(n) for n in range(node_count)]
 
-    state = list(init_state(node_count))
+    # Knowledge sets as bit masks, each beside its entropy h[n]; h_self[n] is
+    # H({n}). `bits` holds every set seen in this run, so the distribution is
+    # asked once per new set.
+    masks = [1 << n for n in range(node_count)]
+    h_self = [dist.subset_entropy((n,)) for n in range(node_count)]
+    h = list(h_self)
+    bits = dict(zip(masks, h_self))
+
+    def know(n: int) -> tuple[int, float]:
+        return masks[n], h[n]
+
+    def entropy(mask: int) -> float:
+        value = bits.get(mask)
+        if value is None:
+            value = bits[mask] = dist.subset_entropy(_members(mask))
+        return value
+
     # Every node starts holding only itself, a gain of exactly zero.
     kg = [0.0] * node_count
     oh_cum = [0.0] * node_count
@@ -228,8 +253,8 @@ def run(
         for i, j in round_pairs:
             # Pairs are vertex-disjoint, so sequential application equals
             # simultaneous application against the pre-round snapshot.
-            state[i], state[j], (oh_i, oh_j) = _encounter(
-                dist, state, i, j, policy, graph
+            masks[i], masks[j], h[i], h[j], (oh_i, oh_j) = _encounter(
+                know, entropy, node_count, i, j, policy, graph
             )
             oh_round[i] += oh_i
             oh_round[j] += oh_j
@@ -237,7 +262,7 @@ def run(
 
         for n in range(node_count):
             if participated[n]:
-                kg[n] = dist.knowledge_gain(n, state[n])
+                kg[n] = nonnegative_bits(h[n] - h_self[n])
                 oh_cum[n] += oh_round[n]
             records.append(
                 MetricsRecord(

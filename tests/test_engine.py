@@ -1,5 +1,6 @@
 """Tests for the encounter engine: policies, schedules, runs, metrics."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from oppknow.errors import (
     SelfEncounter,
     ShapeMismatch,
 )
+from oppknow.measures import nonnegative_bits
 
 SMO = Policy.SEND_MINE_ONLY
 FMPO = Policy.FORWARD_MINE_PLUS_OTHERS
@@ -181,6 +183,48 @@ class TestSchedules:
             round_robin_schedule(full_mesh(3), 0, seed=0)
 
 
+def previous_round_robin_schedule(graph, rounds, seed):
+    """``round_robin_schedule`` as it was when it iterated numpy scalars.
+
+    Kept verbatim as the reference the current schedule is checked against.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    rng = np.random.default_rng(seed)
+    edges = graph.edges
+    schedule = []
+    for _ in range(rounds):
+        matching = []
+        used: set[int] = set()
+        for index in rng.permutation(len(edges)):
+            i, j = edges[index]
+            if i not in used and j not in used:
+                matching.append((i, j))
+                used.add(i)
+                used.add(j)
+        schedule.append(sorted(matching))
+    return schedule
+
+
+class TestRoundRobinMatchesPrevious:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            full_mesh(2),
+            full_mesh(7),
+            Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            random_geometric(12, 0.5, 2),
+            random_geometric(40, 0.3, 5),
+        ],
+        ids=["mesh-2", "mesh-7", "path-5", "geo-12", "geo-40"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 3])
+    def test_same_schedule(self, graph, seed):
+        assert round_robin_schedule(graph, 25, seed) == previous_round_robin_schedule(
+            graph, 25, seed
+        )
+
+
 class TestRun:
     def test_focal_smo_reaches_limit_in_m_minus_1(self, small_dist):
         g = full_mesh(5)
@@ -253,11 +297,59 @@ class TestRun:
         assert run(small_dist, g, schedule, FMPO) == run(small_dist, g, schedule, FMPO)
 
 
+def previous_group_overhead(dist, sent, held, joint):
+    """``_group_overhead`` of the frozenset engine, kept verbatim."""
+    return nonnegative_bits(
+        dist.subset_entropy(sent)
+        + dist.subset_entropy(held)
+        - dist.subset_entropy(joint)
+    )
+
+
+def previous_encounter(dist, state, i, j, policy, graph):
+    """``_encounter`` of the frozenset engine, kept verbatim."""
+    if i == j:
+        raise SelfEncounter(f"node {i} cannot encounter itself")
+    if not (0 <= i < len(state) and 0 <= j < len(state)):
+        raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {len(state)})")
+    if graph is not None and not graph.has_edge(i, j):
+        raise NotAnEdge(f"({i}, {j}) is not an edge of the topology")
+    know_i, know_j = state[i], state[j]
+    if policy is Policy.SEND_MINE_ONLY:
+        new_i, new_j = know_i | {j}, know_j | {i}
+        return new_i, new_j, (
+            previous_group_overhead(dist, frozenset([i]), know_j, new_j),
+            previous_group_overhead(dist, frozenset([j]), know_i, new_i),
+        )
+    merged = know_i | know_j
+    shared = previous_group_overhead(dist, know_i, know_j, merged)
+    return merged, merged, (shared, shared)
+
+
+def previous_apply_encounter(dist, state, i, j, policy, graph=None):
+    """``apply_encounter`` of the frozenset engine, kept verbatim."""
+    new_i, new_j, overheads = previous_encounter(dist, state, i, j, policy, graph)
+    deltas = {
+        i: nonnegative_bits(
+            dist.subset_entropy(new_i) - dist.subset_entropy(state[i])
+        ),
+        j: nonnegative_bits(
+            dist.subset_entropy(new_j) - dist.subset_entropy(state[j])
+        ),
+    }
+    new_state = tuple(
+        new_i if n == i else new_j if n == j else know
+        for n, know in enumerate(state)
+    )
+    return new_state, deltas, overheads
+
+
 def previous_run(dist, graph, schedule, policy, tol=1e-9):
-    """The simulation loop that applied every encounter through
+    """The simulation loop that applied every encounter through the frozenset
     ``apply_encounter`` and recomputed every node's gain each round.
 
-    Kept verbatim as the reference ``run`` is checked against.
+    Kept verbatim as the reference ``run`` is checked against, apart from
+    calling the frozenset engine's ``apply_encounter`` kept above.
     """
     if dist.user_count != graph.node_count:
         raise ShapeMismatch(
@@ -285,7 +377,9 @@ def previous_run(dist, graph, schedule, policy, tol=1e-9):
         for i, j in round_pairs:
             # Pairs are vertex-disjoint, so sequential application equals
             # simultaneous application against the pre-round snapshot.
-            state, _, (oh_i, oh_j) = apply_encounter(dist, state, i, j, policy, graph)
+            state, _, (oh_i, oh_j) = previous_apply_encounter(
+                dist, state, i, j, policy, graph
+            )
             oh_round[i] += oh_i
             oh_round[j] += oh_j
             participated[i] = participated[j] = True
@@ -328,6 +422,129 @@ class TestRunMatchesPreviousLoop:
         expected = previous_run(JointDistribution.from_samples(table), graph, schedule, policy)
         actual = run(JointDistribution.from_samples(table), graph, schedule, policy)
         assert actual == expected
+
+
+@st.composite
+def simulations(draw):
+    """A trace, a random geometric graph on 2 to 70 nodes, a schedule and a
+    policy. Hand-made schedules repeat rounds, so encounters repeat."""
+    node_count = draw(st.integers(2, 70))
+    seed = draw(st.integers(0, 2**16))
+    try:
+        graph = random_geometric(node_count, draw(st.floats(0.3, 1.0)), seed)
+    except CouldNotConnect:
+        assume(False)
+    table = synthesize_traces(SynthConfig(node_count, 3, draw(st.integers(20, 120)), 0.4, seed))
+    if draw(st.booleans()):
+        table = inject_unique_tips(table)
+    kind = draw(st.sampled_from(["round-robin", "focal", "hand-made"]))
+    if kind == "round-robin":
+        schedule = round_robin_schedule(graph, draw(st.integers(1, 12)), seed)
+    elif kind == "focal":
+        schedule = focal_schedule(graph, draw(st.integers(0, node_count - 1)))
+    else:
+        rounds = []
+        for _ in range(draw(st.integers(1, 4))):
+            matching, used = [], set()
+            for i, j in draw(st.lists(st.sampled_from(graph.edges), min_size=1, max_size=8)):
+                if i not in used and j not in used:
+                    used.update((i, j))
+                    matching.append((j, i) if draw(st.booleans()) else (i, j))
+            rounds.append(matching)
+        schedule = draw(st.lists(st.sampled_from(rounds), min_size=1, max_size=10))
+    return table, graph, schedule, draw(st.sampled_from([SMO, FMPO]))
+
+
+class TestRunOverMasks:
+    """``run`` keeps sets as bit masks; its records equal the frozenset loop's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(simulations())
+    def test_records_equal_previous_run(self, simulation):
+        table, graph, schedule, policy = simulation
+        expected = previous_run(JointDistribution.from_samples(table), graph, schedule, policy)
+        actual = run(JointDistribution.from_samples(table), graph, schedule, policy)
+        assert actual == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        node_count=st.integers(2, 70),
+        seed=st.integers(0, 2**16),
+        policy=st.sampled_from([SMO, FMPO]),
+        data=st.data(),
+    )
+    def test_apply_encounter_matches_frozenset_engine(self, node_count, seed, policy, data):
+        # States a run never reaches: each node holds itself and any others.
+        table = synthesize_traces(SynthConfig(node_count, 3, 60, 0.4, seed))
+        nodes = st.integers(0, node_count - 1)
+        state = tuple(
+            frozenset(data.draw(st.lists(nodes, max_size=6))) | {n}
+            for n in range(node_count)
+        )
+        i = data.draw(nodes)
+        j = data.draw(nodes.filter(lambda n: n != i))
+        # Separate distributions: the mask engine asks for the held sets
+        # before the new ones, so a cold set may be refined from another
+        # cached partition and differ in its last bits.
+        new_state, deltas, overheads = apply_encounter(
+            JointDistribution.from_samples(table), state, i, j, policy
+        )
+        old_state, old_deltas, old_overheads = previous_apply_encounter(
+            JointDistribution.from_samples(table), state, i, j, policy
+        )
+        assert new_state == old_state
+        assert deltas == pytest.approx(old_deltas, abs=1e-12)
+        assert overheads == pytest.approx(old_overheads, abs=1e-12)
+
+    @pytest.mark.parametrize("policy", [SMO, FMPO])
+    def test_numpy_ids_past_64_bits(self, policy):
+        # A numpy id shifted as is wraps at 64 bits; sources 64 to 69 must
+        # keep their own bits.
+        table = inject_unique_tips(synthesize_traces(SynthConfig(70, 3, 150, 0.4, 8)))
+        graph = random_geometric(70, 0.3, 8)
+        schedule = [
+            [(np.int64(i), np.int64(j)) for i, j in round_pairs]
+            for round_pairs in round_robin_schedule(graph, 12, 8)
+        ]
+        assert max(max(pair) for round_pairs in schedule for pair in round_pairs) >= 64
+        expected = previous_run(JointDistribution.from_samples(table), graph, schedule, policy)
+        actual = run(JointDistribution.from_samples(table), graph, schedule, policy)
+        assert actual == expected
+
+    def test_negative_numpy_id_rejected(self, small_dist):
+        with pytest.raises(BadVariableIndex):
+            run(small_dist, full_mesh(5), [[(np.int64(-1), np.int64(0))]], SMO)
+
+    @pytest.mark.parametrize("policy", [SMO, FMPO])
+    def test_each_subset_queried_once(self, policy):
+        table = inject_unique_tips(synthesize_traces(SynthConfig(20, 4, 200, 0.3, 2)))
+        dist = JointDistribution.from_samples(table)
+        graph = random_geometric(20, 0.4, 2)
+        subset_entropy, knowledge_limit = dist.subset_entropy, dist.knowledge_limit
+        asked = []
+        in_limit = False
+
+        def limit(i):
+            nonlocal in_limit
+            in_limit = True
+            try:
+                return knowledge_limit(i)
+            finally:
+                in_limit = False
+
+        def entropy(members):
+            if not in_limit:
+                asked.append(frozenset(members))
+            return subset_entropy(members)
+
+        dist.knowledge_limit, dist.subset_entropy = limit, entropy
+        schedule = round_robin_schedule(graph, 40, 2)
+        records = run(dist, graph, schedule, policy)
+        assert len(asked) == len(set(asked))
+        # Forty rounds repeat encounters, so far fewer sets than encounters.
+        assert len(asked) < sum(len(round_pairs) for round_pairs in schedule)
+        del dist.knowledge_limit, dist.subset_entropy
+        assert records == previous_run(dist, graph, schedule, policy)
 
 
 class TestPolicyInvariants:

@@ -210,3 +210,24 @@ def test_report_matches_reference(case):
         current = _report(path, wanted, out)
         with mock.patch.object(cli, "_cmd_report", _cmd_report):
             assert _report(path, wanted, out) == current
+
+
+def test_signed_zeros_and_repeats_match_reference(tmp_path):
+    # 0.0 and -0.0 are equal as dict keys but print as "0" and "-0"; a
+    # value repeated across rounds must print the same each time.
+    rows = [
+        "0,0,smo,0,1.5,0,0,false",
+        "1,0,smo,-0.0,1.5,0,0,false",
+        "2,0,smo,0.0,1.5,0,0,false",
+        "3,0,smo,1.5,1.5,0,0,true",
+        "0,1,smo,-0.0,-0.0,0,0,true",
+        "1,1,smo,0,-0.0,0,0,true",
+        "2,1,smo,nan,nan,0,0,true",
+        "3,1,smo,nan,1.5,0,0,true",
+    ]
+    path = tmp_path / "metrics.csv"
+    path.write_text("\n".join([METRICS_HEADER, *rows]) + "\n")
+    out = tmp_path / "wide.csv"
+    current = _handler(cli._cmd_report, path, [0, 1], out)
+    assert current == _handler(_cmd_report, path, [0, 1], out)
+    assert b"-0" in current
