@@ -43,6 +43,7 @@ _SUBMODULES = {
     "read_sample_table": "traces",
     "round_robin_schedule": "engine",
     "run": "engine",
+    "run_rounds": "engine",
     "steps_to_limit": "engine",
     "synthesize_traces": "traces",
     "write_edge_list": "topology",

@@ -37,7 +37,7 @@ from .errors import (
     OppknowError,
     ShapeMismatch,
 )
-from .metrics import Policy, _fmt, read_metrics_csv, write_metrics_csv
+from .metrics import Policy, _fmt, _LimitProgress, read_metrics_csv, write_metrics_csv
 
 # Numpy-backed names, taken from the package, which imports each one's
 # submodule on first use.
@@ -54,8 +54,7 @@ _LAYERS = (
     "write_sample_table",
     "focal_schedule",
     "round_robin_schedule",
-    "run",
-    "steps_to_limit",
+    "run_rounds",
 )
 
 
@@ -175,6 +174,32 @@ def _cmd_limits(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ProgressRows:
+    """A run's records as its rounds are simulated, for a writer to stream.
+
+    Iterating pulls one round at a time from ``rounds`` and feeds each
+    node's record to that node's :class:`_LimitProgress` before passing the
+    round on, so the summary needs no second pass. ``len()`` is the record
+    count the run will yield, one per node per round. It can be iterated
+    once.
+    """
+
+    def __init__(self, rounds, schedule, node_count: int, tol: float) -> None:
+        self._rounds = rounds
+        self._schedule = schedule
+        self.progress = [_LimitProgress(tol) for _ in range(node_count)]
+
+    def __len__(self) -> int:
+        return len(self._schedule) * len(self.progress)
+
+    def __iter__(self):
+        for round_pairs, records in zip(self._schedule, self._rounds):
+            took_part = {n for pair in round_pairs for n in pair}
+            for record, progress in zip(records, self.progress):
+                progress.add(record, record.node in took_part)
+            yield from records
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     # The sample table is not kept: freeing its array before the run lowers
     # the command's peak memory.
@@ -194,17 +219,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         schedule = round_robin_schedule(graph, args.round_robin, args.schedule_seed)
 
-    policy = Policy(args.policy)
-    records = run(dist, graph, schedule, policy, args.tol)
-    write_metrics_csv(records, args.metrics)
+    rows = _ProgressRows(
+        run_rounds(dist, graph, schedule, Policy(args.policy), args.tol),
+        schedule, graph.node_count, args.tol,
+    )
+    write_metrics_csv(rows, args.metrics)
 
-    # run emits one record per node per round, ids ascending.
     lines = ["node,kl_bits,kg_bits,achieved,steps_to_limit,oh_bits"]
-    for node in range(graph.node_count):
-        own = records[node :: graph.node_count]
-        final = own[-1]
-        steps = steps_to_limit(own, node, schedule, args.tol)
-        steps_text = "" if steps is None else str(steps)
+    for node, progress in enumerate(rows.progress):
+        final = progress.last
+        steps_text = "" if progress.steps is None else str(progress.steps)
         achieved = "true" if final.achieved else "false"
         lines.append(
             f"{node},{_fmt(final.kl_bits)},{_fmt(final.kg_bits)},{achieved},"

@@ -18,13 +18,15 @@ receiver's knowledge.
 
 Rounds of a schedule are matchings: pairs within a round are vertex-disjoint
 and are applied simultaneously against the pre-round state, so results do not
-depend on pair order inside a round. :func:`run` updates only the two partners
-of each encounter and recomputes the knowledge gain only of nodes that took
-part in the round; every other node keeps its set and its gain.
+depend on pair order inside a round. :func:`run_rounds` updates only the two
+partners of each encounter and recomputes the knowledge gain only of nodes
+that took part in the round; every other node keeps its set and its gain. It
+yields each round's records as the round ends, so a caller can write them out
+without holding the whole run; :func:`run` collects them into one list.
 
-Inside :func:`run` a knowledge set is a Python int bit mask (bit ``n`` set
-means source ``n`` is held), kept beside its entropy, and the distribution is
-asked once for each set the run has not seen yet. The public API
+Inside :func:`run_rounds` a knowledge set is a Python int bit mask (bit
+``n`` set means source ``n`` is held), kept beside its entropy, and the
+distribution is asked once for each set the run has not seen yet. The public API
 (:data:`KnowledgeState`, :func:`init_state`, :func:`apply_encounter`,
 :func:`encounter_overhead`) still takes and returns frozensets.
 """
@@ -32,7 +34,8 @@ asked once for each set the run has not seen yet. The public API
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .metrics import (
     METRICS_HEADER,
     MetricsRecord,
     Policy,
+    _LimitProgress,
     read_metrics_csv,
     write_metrics_csv,
 )
@@ -197,23 +201,35 @@ def round_robin_schedule(
     return schedule
 
 
-def run(
+def run_rounds(
     dist: JointDistribution,
     graph: Graph,
     schedule: Schedule,
     policy: Policy,
     tol: float = 1e-9,
-) -> list[MetricsRecord]:
-    """Simulate a schedule, emitting one record per node per round.
+) -> Iterator[list[MetricsRecord]]:
+    """Simulate a schedule lazily, yielding each round's records as it ends.
 
-    A node is `achieved` once its knowledge-gain limit minus its cumulative
-    gain is within ``tol`` bits.
+    A round's records are one per node, ids ascending. A node is `achieved`
+    once its knowledge-gain limit minus its cumulative gain is within
+    ``tol`` bits. The distribution and the topology are checked against
+    each other here, before the first round is asked for.
     """
     if dist.user_count != graph.node_count:
         raise ShapeMismatch(
             f"distribution has {dist.user_count} users but topology has "
             f"{graph.node_count} nodes"
         )
+    return _rounds(dist, graph, schedule, policy, tol)
+
+
+def _rounds(
+    dist: JointDistribution,
+    graph: Graph,
+    schedule: Schedule,
+    policy: Policy,
+    tol: float,
+) -> Iterator[list[MetricsRecord]]:
     node_count = graph.node_count
     limits = [dist.knowledge_limit(n) for n in range(node_count)]
 
@@ -237,7 +253,6 @@ def run(
     # Every node starts holding only itself, a gain of exactly zero.
     kg = [0.0] * node_count
     oh_cum = [0.0] * node_count
-    records: list[MetricsRecord] = []
 
     for round_index, round_pairs in enumerate(schedule):
         seen: set[int] = set()
@@ -260,6 +275,7 @@ def run(
             oh_round[j] += oh_j
             participated[i] = participated[j] = True
 
+        records = []
         for n in range(node_count):
             if participated[n]:
                 kg[n] = nonnegative_bits(h[n] - h_self[n])
@@ -270,29 +286,36 @@ def run(
                     oh_cum[n], (limits[n] - kg[n]) <= tol,
                 )
             )
-    return records
+        yield records
+
+
+def run(
+    dist: JointDistribution,
+    graph: Graph,
+    schedule: Schedule,
+    policy: Policy,
+    tol: float = 1e-9,
+) -> list[MetricsRecord]:
+    """Simulate a schedule; every record of :func:`run_rounds`, in order."""
+    return list(chain.from_iterable(run_rounds(dist, graph, schedule, policy, tol)))
 
 
 def steps_to_limit(
-    records: Sequence[MetricsRecord], node: int, schedule: Schedule, tol: float = 1e-9
+    records: Iterable[MetricsRecord], node: int, schedule: Schedule, tol: float = 1e-9
 ) -> int | None:
     """Encounters a node needed before its gain reached its limit.
 
     Counts the rounds of ``schedule`` in which the node is in a pair, up to
     and including the first round whose record meets the limit within
     ``tol``. Returns 0 when the limit is zero bits away from the start, and
-    ``None`` when the node never reaches it. ``records`` may be :func:`run`'s
-    or those read back by :func:`read_metrics_csv`.
+    ``None`` when the node never reaches it. ``records`` hold the node's
+    records in round order, one per round: :func:`run`'s, or those read back
+    by :func:`read_metrics_csv`.
     """
-    own = [r for r in records if r.node == node]
-    if not own:
+    progress = _LimitProgress(tol)
+    for record in records:
+        if record.node == node:
+            progress.add(record, any(node in pair for pair in schedule[record.round_index]))
+    if progress.last is None:
         raise BadVariableIndex(f"no records for node {node}")
-    if own[0].kl_bits <= tol:
-        return 0
-    reached = [r.round_index for r in own if r.kl_bits - r.kg_bits <= tol]
-    if not reached:
-        return None
-    return sum(
-        any(node in pair for pair in round_pairs)
-        for round_pairs in schedule[: min(reached) + 1]
-    )
+    return progress.steps

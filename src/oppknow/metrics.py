@@ -3,15 +3,16 @@
 A :class:`MetricsRecord` holds one node's figures for one round of a
 simulation. The metrics CSV stores one record per line under
 :data:`METRICS_HEADER`, with every float written by :func:`_fmt`, the one
-formatter for the numbers of every CLI output. This module imports only the
-standard library, so ``oppknow report`` reads metrics files without loading
-numpy.
+formatter for the numbers of every CLI output. :class:`_LimitProgress`
+defines a node's steps to its limit once, for ``engine.steps_to_limit`` and
+for the ``simulate`` summary. This module imports only the standard library,
+so ``oppknow report`` reads metrics files without loading numpy.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Iterable
 from enum import Enum
 from typing import NamedTuple
 
@@ -42,6 +43,34 @@ class MetricsRecord(NamedTuple):
     achieved: bool
 
 
+class _LimitProgress:
+    """One node's way to its knowledge-gain limit, fed its records in round
+    order, each with whether the node took part in that round.
+
+    ``steps`` counts the rounds the node took part in, up to and including
+    the first whose record meets the limit within ``tol``. It is 0 when the
+    limit is zero bits away from the start and ``None`` until the limit is
+    met. ``last`` is the latest record fed.
+    """
+
+    __slots__ = ("tol", "last", "steps", "_taken")
+
+    def __init__(self, tol: float) -> None:
+        self.tol = tol
+        self.last: MetricsRecord | None = None
+        self.steps: int | None = None
+        self._taken = 0
+
+    def add(self, record: MetricsRecord, took_part: bool) -> None:
+        if self.last is None and record.kl_bits <= self.tol:
+            self.steps = 0
+        elif self.steps is None:
+            self._taken += took_part
+            if record.kl_bits - record.kg_bits <= self.tol:
+                self.steps = self._taken
+        self.last = record
+
+
 # Fixed 12-significant-digit decimal formatting keeps repeated runs of the
 # same scenario byte-identical.
 def _fmt(value: float) -> str:
@@ -54,7 +83,9 @@ _POLICY_FIELDS = {policy.value: policy for policy in Policy}
 _ACHIEVED_FIELDS = {"true": True, "false": False}
 
 
-def write_metrics_csv(records: Sequence[MetricsRecord], path: str | os.PathLike) -> None:
+def write_metrics_csv(records: Iterable[MetricsRecord], path: str | os.PathLike) -> None:
+    """Write records one line each, in the order they arrive, which may be
+    while they are still being simulated."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(METRICS_HEADER + "\n")
         for r in records:

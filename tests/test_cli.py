@@ -224,13 +224,16 @@ class TestSimulate:
     def test_dimension_mismatch_exits_3(self, trace_m20, tmp_path, capsys):
         edges = tmp_path / "edges.txt"
         edges.write_text("3\n0 1\n1 2\n", newline="\n")
+        metrics, summary = tmp_path / "m.csv", tmp_path / "s.csv"
         code = main([
             "simulate", "--trace", str(trace_m20), "--edges", str(edges),
             "--policy", "smo", "--focal", "0",
-            "--metrics", str(tmp_path / "m.csv"), "--summary", str(tmp_path / "s.csv"),
+            "--metrics", str(metrics), "--summary", str(summary),
         ])
         capsys.readouterr()
         assert code == 3
+        assert not metrics.exists()
+        assert not summary.exists()
 
     def test_declared_node_count_far_above_users_exits_3(self, tmp_path, capsys):
         # The graph holds its one edge, not two million adjacency entries.
@@ -238,15 +241,18 @@ class TestSimulate:
         trace.write_text("3,2,2\n0,1,0\n1,0,1\n", newline="\n")
         edges = tmp_path / "edges.txt"
         edges.write_text("2000000\n0 1\n", newline="\n")
+        metrics, summary = tmp_path / "m.csv", tmp_path / "s.csv"
         code = main([
             "simulate", "--trace", str(trace), "--edges", str(edges),
             "--policy", "smo", "--focal", "0",
-            "--metrics", str(tmp_path / "m.csv"), "--summary", str(tmp_path / "s.csv"),
+            "--metrics", str(metrics), "--summary", str(summary),
         ])
         assert code == 3
         assert capsys.readouterr().err == (
             "error: distribution has 3 users but topology has 2000000 nodes\n"
         )
+        assert not metrics.exists()
+        assert not summary.exists()
 
     def test_focal_node_without_neighbors_exits_3_writing_nothing(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"

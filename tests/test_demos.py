@@ -1,6 +1,8 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke test: every narrative demo and the README's library quickstart
+run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import oppknow
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCE_ROOT = str(Path(oppknow.__file__).resolve().parents[1])
 
 
@@ -32,3 +35,14 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_quickstart_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(blocks[0], namespace)
+    # The block's last line promises at most M - 1 = 19 steps.
+    steps = namespace["steps_to_limit"](namespace["records"], 0, namespace["schedule"])
+    assert steps is not None and steps <= 19

@@ -21,6 +21,7 @@ from oppknow import (
     read_metrics_csv,
     round_robin_schedule,
     run,
+    run_rounds,
     steps_to_limit,
     synthesize_traces,
     write_metrics_csv,
@@ -280,6 +281,12 @@ class TestRun:
     def test_dimension_mismatch(self, small_dist):
         with pytest.raises(ShapeMismatch):
             run(small_dist, full_mesh(4), [[(0, 1)]], SMO)
+
+    def test_run_rounds_checks_dimensions_before_the_first_round(self, small_dist):
+        # simulate opens its metrics file before asking for a round, so the
+        # check must not wait for one.
+        with pytest.raises(ShapeMismatch):
+            run_rounds(small_dist, full_mesh(4), [[(0, 1)]], SMO)
 
     def test_non_edge_pair_rejected(self, triple_dist):
         path = Graph(3, [(0, 1), (1, 2)])

@@ -49,6 +49,7 @@ PUBLIC = {
     "read_sample_table": "traces",
     "round_robin_schedule": "engine",
     "run": "engine",
+    "run_rounds": "engine",
     "steps_to_limit": "engine",
     "synthesize_traces": "traces",
     "write_edge_list": "topology",
@@ -64,8 +65,8 @@ ALL = [
     "init_state", "inject_unique_tips", "nonnegative_bits",
     "parse_activity_csv", "profile_vector", "random_geometric", "read_edge_list",
     "read_metrics_csv", "read_sample_table", "round_robin_schedule", "run",
-    "steps_to_limit", "synthesize_traces", "write_edge_list", "write_metrics_csv",
-    "write_sample_table",
+    "run_rounds", "steps_to_limit", "synthesize_traces", "write_edge_list",
+    "write_metrics_csv", "write_sample_table",
 ]
 
 # Runs oppknow.cli as __main__ with the given arguments; the last line of
@@ -181,8 +182,8 @@ def test_cli_layer_names_resolve_as_module_attributes():
     import oppknow.cli
     from oppknow import engine, measures, topology, traces
 
-    assert oppknow.cli.run is engine.run
-    assert oppknow.cli.steps_to_limit is engine.steps_to_limit
+    assert oppknow.cli.run_rounds is engine.run_rounds
+    assert oppknow.cli.round_robin_schedule is engine.round_robin_schedule
     assert oppknow.cli.JointDistribution is measures.JointDistribution
     assert oppknow.cli.random_geometric is topology.random_geometric
     assert oppknow.cli.read_sample_table is traces.read_sample_table
