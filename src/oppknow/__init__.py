@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 # Public name -> submodule that defines it.
 _SUBMODULES = {
-    "DenseDistribution": "reference",
     "Graph": "topology",
     "JointDistribution": "measures",
     "KnowledgeState": "engine",
@@ -26,9 +25,6 @@ _SUBMODULES = {
     "SampleTable": "traces",
     "SynthConfig": "traces",
     "apply_encounter": "engine",
-    "brute_mutual_information": "reference",
-    "brute_subset_entropy": "reference",
-    "densify": "reference",
     "encounter_overhead": "engine",
     "focal_schedule": "engine",
     "full_mesh": "topology",

@@ -13,8 +13,9 @@ and input files produce byte-identical outputs. Exit codes: 0 success,
 2 usage error, 3 input error (including input or a requested size too large
 to hold in memory), 4 internal-consistency failure.
 
-``synth``, ``ingest``, ``limits`` and ``simulate`` load the numpy-backed
-layers (traces, measures, topology, engine) after their arguments parse.
+After its arguments parse, each subcommand loads only the numpy-backed
+layers (traces, measures, topology, engine) that its handler names: ``ingest``
+loads traces, ``synth`` and ``limits`` also measures, ``simulate`` all four.
 ``report`` reads metrics through :mod:`oppknow.metrics`, which needs only the
 standard library, so it, ``--help`` and usage errors start without numpy.
 The layer functions are still attributes of this module (a module
@@ -32,6 +33,7 @@ import sys
 from .errors import (
     MISSING_POLICIES,
     BadVariableIndex,
+    DuplicateObservation,
     EmptyInput,
     InternalConsistencyError,
     OppknowError,
@@ -254,6 +256,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise BadVariableIndex(f"node {node} not present in {args.metrics}")
 
     by_key = {(r.round_index, r.node): r for r in records}
+    if len(by_key) != len(records):
+        # The dict kept the last record of each repeated pair, not the first.
+        r = next(r for r in records if by_key[r.round_index, r.node] is not r)
+        raise DuplicateObservation(f"metrics file repeats node {r.node} at round {r.round_index}")
     rounds = sorted({r.round_index for r in records})
 
     header = ["round"]
@@ -358,8 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if args.command != "report":
-        for name in _LAYERS:
+    # A handler looks its layer names up as globals, listed in co_names.
+    for name in _LAYERS:
+        if name in args.handler.__code__.co_names:
             _load_layer(name)
     try:
         return args.handler(args)

@@ -49,10 +49,6 @@ class DuplicateVariable(OppknowError):
     """A variable id appears more than once in an ordered sequence."""
 
 
-class TooLarge(OppknowError):
-    """The dense outcome table would exceed the supported size."""
-
-
 # --- trace ingestion errors ---------------------------------------------------
 
 # The activity-CSV reader's missing-data policies. They are defined here, in a
@@ -78,7 +74,7 @@ class OutOfRange(OppknowError):
 
 
 class DuplicateObservation(OppknowError):
-    """The same (timestamp, user) pair was observed twice."""
+    """The same (timestamp, user) or (round, node) pair was recorded twice."""
 
 
 # --- topology errors ----------------------------------------------------------

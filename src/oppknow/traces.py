@@ -72,6 +72,17 @@ def category_dtype(category_count: int) -> np.dtype:
     return np.dtype(np.int64) if dtype.itemsize == 8 else dtype
 
 
+def _check_user_count(user_count: int) -> None:
+    # Users are array columns, and numpy dimensions and sizes stay below 2**63.
+    if user_count >= 1 << 63:
+        raise MalformedSamples(f"user_count {user_count} reaches 2**63: users are array columns")
+
+
+def _check_cells(timestamps: int, user_count: int) -> None:
+    if timestamps * user_count >= 1 << 63:
+        raise MemoryError(f"{timestamps} timestamps of {user_count} users reach 2**63 cells")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleTable:
     """Time-indexed category assignments: one length-M row per time unit.
@@ -90,6 +101,7 @@ class SampleTable:
     def __post_init__(self):
         if self.user_count < 1 or self.category_count < 1:
             raise MalformedSamples("user_count and category_count must be >= 1")
+        _check_user_count(self.user_count)
         m, v = self.user_count, self.category_count
         dtype = category_dtype(v)
         try:
@@ -203,6 +215,7 @@ def parse_activity_csv(
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"missing_policy must be one of {MISSING_POLICIES}")
+    _check_user_count(user_count)
     fh = io.StringIO(source) if isinstance(source, str) else source
     if isinstance(fh, io.TextIOBase) and fh.seekable():
         start = fh.tell()
@@ -243,6 +256,7 @@ def _parse_activity_plain(
     # One cell per (timestamp, user), timestamps in ascending order; a cell
     # holds its category + 1, so 0 marks a user not observed.
     stamps = np.unique(obs["t"])
+    _check_cells(stamps.size, user_count)
     cells = np.searchsorted(stamps, obs["t"])
     cells *= user_count
     cells += obs["u"]
@@ -297,6 +311,7 @@ def _parse_activity_lines(
         seen[user] = category
     if not header_seen:
         raise ParseError(1, "empty input, expected header line")
+    _check_cells(len(by_timestamp), user_count)
 
     rows: list[tuple[int, ...]] = []
     if missing_policy == "drop-row":
@@ -333,13 +348,15 @@ def synthesize_traces(config: SynthConfig) -> SampleTable:
     the latent value with probability ``correlation`` and otherwise samples
     from a private profile. Private profiles are drawn once per user as
     normalized independent unit-exponential weights (uniform over the
-    category simplex). A profile matrix over ``sys.maxsize`` bytes raises
-    :class:`MemoryError` before anything is drawn.
+    category simplex). A profile or draw matrix over ``sys.maxsize`` bytes
+    raises :class:`MemoryError` before anything is drawn.
     """
     m, v, t = config.user_count, config.category_count, config.row_count
     dtype = category_dtype(v)
     if m * v * 8 > sys.maxsize:
         raise MemoryError(f"the ({m}, {v}) float64 profile matrix exceeds the address space")
+    if t * m * 8 > sys.maxsize:
+        raise MemoryError(f"the ({t}, {m}) float64 draw matrix exceeds the address space")
     rng = np.random.default_rng(config.seed)
 
     profiles = rng.exponential(1.0, size=(m, v))

@@ -4,7 +4,9 @@ These deliberately take a different algorithmic route from
 :mod:`oppknow.measures` (full dense enumeration and the direct double-sum
 mutual-information definition instead of sparse projection merging), so
 agreement between the two is evidence of correctness rather than tautology.
-Only instances with fewer than 4096 joint outcomes are supported.
+Only instances with fewer than 4096 joint outcomes are supported. The oracle
+is a test helper, not part of the package: from ``measures`` it takes only
+the :class:`JointDistribution` type it expands.
 """
 
 from __future__ import annotations
@@ -14,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadVariableIndex, EmptySet, OverlappingSets, TooLarge
-from .measures import JointDistribution
+from oppknow.errors import BadVariableIndex, EmptySet, OppknowError, OverlappingSets
+from oppknow.measures import JointDistribution
 
 MAX_DENSE_OUTCOMES = 4096
+
+
+class TooLarge(OppknowError):
+    """The dense outcome table would exceed the supported size."""
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from dense_oracle import brute_mutual_information, brute_subset_entropy, densify
 from oppknow import (
     Graph,
     JointDistribution,
     Policy,
     SynthConfig,
-    brute_mutual_information,
-    brute_subset_entropy,
-    densify,
     encounter_overhead,
     focal_schedule,
     full_mesh,

@@ -344,6 +344,23 @@ class TestReport:
         assert code == 3
         assert not out.exists()
 
+    def test_repeated_round_and_node_exits_3(self, tmp_path, capsys):
+        from oppknow.engine import METRICS_HEADER
+
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(
+            METRICS_HEADER + "\n"
+            "0,0,smo,1.4958,2,0,0,false\n0,1,smo,0,2,0,0,false\n"
+            "0,0,smo,9.5,2,0,0,false\n",
+            newline="\n",
+        )
+        out = tmp_path / "wide.csv"
+        code = main(["report", "--metrics", str(metrics), "--nodes", "0,1",
+                     "--output", str(out)])
+        assert capsys.readouterr().err == "error: metrics file repeats node 0 at round 0\n"
+        assert code == 3
+        assert not out.exists()
+
     def test_empty_metrics_exits_3(self, tmp_path, capsys):
         from oppknow.engine import METRICS_HEADER
 
@@ -493,6 +510,55 @@ class TestWideAlphabets:
             assert err.startswith("error: category_count ") and err.count("\n") == 1
         else:
             assert read_sample_table(tmp_path / "t.csv").rows == ((1,),)
+
+
+class TestSizesAtTwoToThe63:
+    """A user or cell count of 2**63 or more, or a synth draw matrix past the
+    address space, is an input error: numpy dimensions and sizes stay below
+    it. Each is refused before the table is built or anything is drawn."""
+
+    @pytest.mark.parametrize("users, lines, message", [
+        ("9223372036854775808", "0,0,1\n",
+         "user_count 9223372036854775808 reaches 2**63: users are array columns"),
+        ("4611686018427387905", "0,0,1\n1,0,1\n",
+         "input or requested size too large to hold in memory: "
+         "2 timestamps of 4611686018427387905 users reach 2**63 cells"),
+        # CR line ends send the file to the per-line loop, which applies the
+        # same limit (under drop-row, so that it never builds a row).
+        ("4611686018427387905", "0,0,1\r\n1,0,1\r\n",
+         "input or requested size too large to hold in memory: "
+         "2 timestamps of 4611686018427387905 users reach 2**63 cells"),
+    ], ids=["users", "cells", "cells-per-line"])
+    def test_ingest(self, tmp_path, capsys, users, lines, message):
+        src = tmp_path / "activity.csv"
+        src.write_text("timestamp,user,category\n" + lines)
+        out = tmp_path / "t.csv"
+        argv = ["ingest", "--input", str(src), "--users", users, "--categories", "3",
+                "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_limits(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("1000000000000000000000000,2,0\n")
+        argv = ["limits", "--trace", str(trace), "--output", str(tmp_path / "o.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: user_count 1000000000000000000000000 reaches 2**63: "
+            "users are array columns\n"
+        )
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["synth", "--users", "2", "--categories", "2", "--rows", "9223372036854775808",
+                "--rho", "0.5", "--seed", "1", "--output", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: input or requested size too large to hold in memory: "
+            "the (9223372036854775808, 2) float64 draw matrix exceeds the address space\n"
+        )
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("error, message", [

@@ -3,7 +3,8 @@
 ``import oppknow``, ``import oppknow.cli``, ``oppknow report``, ``--help`` and
 usage errors must not import numpy: each is checked in a fresh interpreter,
 since this test process has loaded numpy long before. ``report`` also loads
-neither ``dataclasses`` nor ``inspect``. The public names still resolve to the
+neither ``dataclasses`` nor ``inspect``, and every other command loads only
+the submodules it uses. The public names still resolve to the
 objects their submodules define.
 """
 
@@ -23,7 +24,6 @@ SOURCE_ROOT = str(Path(oppknow.__file__).resolve().parents[1])
 
 # Public name -> the submodule it is defined in (or re-exported from).
 PUBLIC = {
-    "DenseDistribution": "reference",
     "Graph": "topology",
     "JointDistribution": "measures",
     "KnowledgeState": "engine",
@@ -32,9 +32,6 @@ PUBLIC = {
     "SampleTable": "traces",
     "SynthConfig": "traces",
     "apply_encounter": "engine",
-    "brute_mutual_information": "reference",
-    "brute_subset_entropy": "reference",
-    "densify": "reference",
     "encounter_overhead": "engine",
     "focal_schedule": "engine",
     "full_mesh": "topology",
@@ -58,10 +55,9 @@ PUBLIC = {
 }
 
 ALL = [
-    "DenseDistribution", "Graph", "JointDistribution", "KnowledgeState",
-    "MetricsRecord", "Policy", "SampleTable", "SynthConfig", "apply_encounter",
-    "brute_mutual_information", "brute_subset_entropy", "densify",
-    "encounter_overhead", "errors", "focal_schedule", "full_mesh",
+    "Graph", "JointDistribution", "KnowledgeState", "MetricsRecord", "Policy",
+    "SampleTable", "SynthConfig", "apply_encounter", "encounter_overhead",
+    "errors", "focal_schedule", "full_mesh",
     "init_state", "inject_unique_tips", "nonnegative_bits",
     "parse_activity_csv", "profile_vector", "random_geometric", "read_edge_list",
     "read_metrics_csv", "read_sample_table", "round_robin_schedule", "run",
@@ -70,8 +66,9 @@ ALL = [
 ]
 
 # Runs oppknow.cli as __main__ with the given arguments; the last line of
-# stdout reports the exit code, whether numpy was loaded, and which of
-# dataclasses and inspect the command loaded that were not loaded before.
+# stdout reports the exit code, whether numpy was loaded, which of
+# dataclasses and inspect the command loaded that were not loaded before, and
+# the oppknow submodules loaded by the end.
 RUN_CLI = """
 import json, runpy, sys
 slow = [name for name in ("dataclasses", "inspect") if name not in sys.modules]
@@ -82,7 +79,9 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "loaded": [name for name in slow if name in sys.modules]}))
+                  "loaded": [name for name in slow if name in sys.modules],
+                  "oppknow": sorted(name.removeprefix("oppknow.") for name in sys.modules
+                                    if name.startswith("oppknow."))}))
 """
 
 
@@ -121,9 +120,30 @@ def test_cheap_commands_load_no_numpy(tmp_path, argv, code):
     if argv[0] == "report" and code == 0:
         # A metrics record is a named tuple, not a dataclass.
         assert result["loaded"] == []
+        assert result["oppknow"] == ["errors", "metrics"]
         assert (tmp_path / "wide.csv").read_text() == (
             "round,node_0_kg,node_0_kl,node_1_kg,node_1_kl\n0,0,1.5,0,2\n1,1.5,1.5,1,2\n"
         )
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["synth", "--users", "3", "--categories", "2", "--rows", "20", "--rho", "0.5",
+      "--seed", "1", "--output", "synth.csv"], ["measures", "traces"]),
+    (["ingest", "--input", "activity.csv", "--users", "2", "--categories", "2",
+      "--output", "ingested.csv"], ["traces"]),
+    (["limits", "--trace", "trace.csv", "--output", "limits.csv"], ["measures", "traces"]),
+    (["simulate", "--trace", "trace.csv", "--mesh", "--policy", "fmpo", "--round-robin",
+      "2", "--metrics", "m.csv", "--summary", "s.csv"],
+     ["engine", "measures", "topology", "traces"]),
+], ids=["synth", "ingest", "limits", "simulate"])
+def test_each_command_loads_only_the_layers_it_uses(tmp_path, argv, layers):
+    # A fresh interpreter, so no layer name is bound before main runs.
+    (tmp_path / "activity.csv").write_text(
+        "timestamp,user,category\n0,0,1\n0,1,0\n1,0,1\n1,1,1\n", newline="\n")
+    (tmp_path / "trace.csv").write_text("3,2,4\n0,0,1\n1,0,1\n0,1,0\n1,1,1\n", newline="\n")
+    result, done = _python(RUN_CLI, json.dumps(argv), cwd=tmp_path)
+    assert result["code"] == 0, done.stderr
+    assert result["oppknow"] == sorted(["errors", "metrics", *layers])
 
 
 def test_all_is_unchanged():

@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oppknow import JointDistribution, SampleTable, brute_subset_entropy, densify
+from dense_oracle import brute_subset_entropy, densify
+from oppknow import JointDistribution, SampleTable
 from oppknow.measures import _Partition
 
 

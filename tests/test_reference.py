@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from oppknow import (
-    JointDistribution,
-    brute_mutual_information,
-    brute_subset_entropy,
-    densify,
-)
-from oppknow.errors import BadVariableIndex, EmptySet, OverlappingSets, TooLarge
+from dense_oracle import TooLarge, brute_mutual_information, brute_subset_entropy, densify
+from oppknow import JointDistribution
+from oppknow.errors import BadVariableIndex, EmptySet, OverlappingSets
 
 
 class TestDensify:

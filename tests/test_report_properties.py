@@ -5,9 +5,11 @@ stood before the metrics module, copied unchanged. On generated metrics files
 (shuffled and duplicated rows, missing pairs, lenient numerals, CRLF, and
 malformed lines) the current code must write the same bytes, or raise the
 same exception type with the same message and line number, and exit with the
-same code and stderr. The one intended difference, an ``achieved`` field
-other than ``true``/``false``, is not generated: the reference read it as
-false, the current reader rejects it (see ``tests/test_cli.py``).
+same code and stderr. There are two intended differences. An ``achieved``
+field other than ``true``/``false`` is not generated: the reference read it
+as false, the current reader rejects it (see ``tests/test_cli.py``). A
+repeated ``(round, node)`` pair is generated: the reference kept its last
+record, the current handler rejects the file once its nodes are known.
 """
 
 import argparse
@@ -22,7 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oppknow import cli, metrics
-from oppknow.errors import BadVariableIndex, EmptyInput, ParseError, ShapeMismatch
+from oppknow.errors import (
+    BadVariableIndex,
+    DuplicateObservation,
+    EmptyInput,
+    ParseError,
+    ShapeMismatch,
+)
 from oppknow.metrics import METRICS_HEADER, MetricsRecord, Policy, _fmt
 
 
@@ -195,6 +203,23 @@ def _handler(handler, path, wanted, out):
     return written
 
 
+def _expected_handler(path, wanted, out):
+    """The reference handler's outcome, with repeated pairs rejected.
+
+    Once the file parses, holds records and names every wanted node, the
+    first record whose (round, node) pair comes again later is reported.
+    """
+    outcome = _handler(_cmd_report, path, wanted, out)
+    if isinstance(outcome, tuple) and outcome[0] in (ParseError, EmptyInput, BadVariableIndex):
+        return outcome
+    keys = [(r.round_index, r.node) for r in read_metrics_csv(path)]
+    for i, (round_index, node) in enumerate(keys):
+        if (round_index, node) in keys[i + 1 :]:
+            message = f"metrics file repeats node {node} at round {round_index}"
+            return DuplicateObservation, message, None
+    return outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(metrics_files())
 def test_report_matches_reference(case):
@@ -205,11 +230,14 @@ def test_report_matches_reference(case):
         out = Path(tmp) / "wide.csv"
 
         assert _read(metrics.read_metrics_csv, path) == _read(read_metrics_csv, path)
-        assert _handler(cli._cmd_report, path, wanted, out) == _handler(
-            _cmd_report, path, wanted, out)
+        expected = _expected_handler(path, wanted, out)
+        assert _handler(cli._cmd_report, path, wanted, out) == expected
         current = _report(path, wanted, out)
-        with mock.patch.object(cli, "_cmd_report", _cmd_report):
-            assert _report(path, wanted, out) == current
+        if isinstance(expected, tuple) and expected[0] is DuplicateObservation:
+            assert current == (3, f"error: {expected[1]}\n", None)
+        else:
+            with mock.patch.object(cli, "_cmd_report", _cmd_report):
+                assert _report(path, wanted, out) == current
 
 
 def test_signed_zeros_and_repeats_match_reference(tmp_path):
