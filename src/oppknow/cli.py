@@ -11,16 +11,18 @@ Subcommands:
 All randomness flows through explicit ``--seed`` style flags; identical flags
 and input files produce byte-identical outputs. Exit codes: 0 success,
 2 usage error, 3 input error (including input or a requested size too large
-to hold in memory), 4 internal-consistency failure.
+to hold in memory), 4 internal-consistency failure. Two path flags of one
+command that name the same file are a usage error, caught before any file is
+read or written.
 
 After its arguments parse, each subcommand loads only the numpy-backed
 layers (traces, measures, topology, engine) that its handler names: ``ingest``
 loads traces, ``synth`` and ``limits`` also measures, ``simulate`` all four.
 ``report`` reads metrics through :mod:`oppknow.metrics`, which needs only the
 standard library, so it, ``--help`` and usage errors start without numpy.
-The layer functions are still attributes of this module (a module
-``__getattr__`` resolves them on first lookup), so a profiler can look each
-one up and replace it with a wrapper before :func:`main` runs.
+Every public name of the package is still an attribute of this module (a
+module ``__getattr__`` resolves it on first lookup), so a profiler can look
+each layer function up and replace it with a wrapper before :func:`main` runs.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import os
 import sys
 
 from .errors import (
@@ -41,36 +44,38 @@ from .errors import (
 )
 from .metrics import Policy, _fmt, _LimitProgress, read_metrics_csv, write_metrics_csv
 
-# Numpy-backed names, taken from the package, which imports each one's
-# submodule on first use.
-_LAYERS = (
-    "JointDistribution",
-    "full_mesh",
-    "random_geometric",
-    "read_edge_list",
-    "SynthConfig",
-    "inject_unique_tips",
-    "parse_activity_csv",
-    "read_sample_table",
-    "synthesize_traces",
-    "write_sample_table",
-    "focal_schedule",
-    "round_robin_schedule",
-    "run_rounds",
-)
+# The package, whose public names (its ``__all__``) import their submodule on
+# first use.
+_PACKAGE = importlib.import_module(__package__)
+
+# Flags that name a file; no two of one command may name the same file.
+_PATH_FLAGS = ("input", "trace", "edges", "metrics", "summary", "output")
 
 
 def _load_layer(name: str):
     # setdefault keeps a value already bound to the module attribute, such as
     # a wrapper set in place of what __getattr__ returned before main ran.
-    package = importlib.import_module(__package__)
-    return globals().setdefault(name, getattr(package, name))
+    return globals().setdefault(name, getattr(_PACKAGE, name))
 
 
 def __getattr__(name: str):
-    if name not in _LAYERS:
+    if name not in _PACKAGE.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return _load_layer(name)
+
+
+def _path_clash(args: argparse.Namespace) -> str | None:
+    """The error for two path flags naming one file, or None."""
+    seen: dict[str, str] = {}
+    for flag in _PATH_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            return f"--{seen[real]} and --{flag} name the same file {path!r}"
+        seen[real] = flag
+    return None
 
 
 # -- argparse value checks -------------------------------------------------------
@@ -364,9 +369,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    clash = _path_clash(args)
+    if clash is not None:
+        print(f"error: {clash}", file=sys.stderr)
+        return 2
     # A handler looks its layer names up as globals, listed in co_names.
-    for name in _LAYERS:
-        if name in args.handler.__code__.co_names:
+    for name in args.handler.__code__.co_names:
+        if name in _PACKAGE.__all__:
             _load_layer(name)
     try:
         return args.handler(args)

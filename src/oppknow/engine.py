@@ -24,9 +24,10 @@ that took part in the round; every other node keeps its set and its gain. It
 yields each round's records as the round ends, so a caller can write them out
 without holding the whole run; :func:`run` collects them into one list.
 
-Inside :func:`run_rounds` a knowledge set is a Python int bit mask (bit
-``n`` set means source ``n`` is held), kept beside its entropy, and the
-distribution is asked once for each set the run has not seen yet. The public API
+Inside the engine a knowledge set is a Python int bit mask (bit ``n`` set
+means source ``n`` is held), the key the distribution memoizes entropies by,
+so a set seen before costs one dict lookup and only a new set reaches
+:meth:`~oppknow.measures.JointDistribution.subset_entropy`. The public API
 (:data:`KnowledgeState`, :func:`init_state`, :func:`apply_encounter`,
 :func:`encounter_overhead`) still takes and returns frozensets.
 """
@@ -45,7 +46,7 @@ from .errors import (
     SelfEncounter,
     ShapeMismatch,
 )
-from .measures import JointDistribution, nonnegative_bits
+from .measures import JointDistribution, _bits, nonnegative_bits
 # The metrics records and their CSV format are defined in .metrics, which
 # needs no numpy, and stay importable from here.
 from .metrics import (
@@ -68,11 +69,6 @@ def init_state(node_count: int) -> KnowledgeState:
     if node_count < 1:
         raise ShapeMismatch("need at least one node")
     return tuple(frozenset([n]) for n in range(node_count))
-
-
-def _members(mask: int) -> list[int]:
-    """The members of a bit mask, ascending."""
-    return [n for n in range(mask.bit_length()) if mask >> n & 1]
 
 
 def _encounter(
@@ -148,21 +144,17 @@ def apply_encounter(
     """
 
     def know(n: int) -> tuple[int, float]:
-        # Querying the set first checks its ids before they are shifted.
-        bits = dist.subset_entropy(state[n])
-        return sum(1 << int(m) for m in state[n]), bits
-
-    def entropy(mask: int) -> float:
-        return dist.subset_entropy(_members(mask))
+        mask = dist._mask(state[n])
+        return mask, dist._mask_entropy(mask)
 
     new_i, new_j, h_new_i, h_new_j, overheads = _encounter(
-        know, entropy, len(state), i, j, policy, graph
+        know, dist._mask_entropy, len(state), i, j, policy, graph
     )
     deltas = {
-        i: nonnegative_bits(h_new_i - dist.subset_entropy(state[i])),
-        j: nonnegative_bits(h_new_j - dist.subset_entropy(state[j])),
+        i: nonnegative_bits(h_new_i - know(i)[1]),
+        j: nonnegative_bits(h_new_j - know(j)[1]),
     }
-    set_i, set_j = frozenset(_members(new_i)), frozenset(_members(new_j))
+    set_i, set_j = frozenset(_bits(new_i)), frozenset(_bits(new_j))
     new_state = tuple(
         set_i if n == i else set_j if n == j else held
         for n, held in enumerate(state)
@@ -234,21 +226,14 @@ def _rounds(
     limits = [dist.knowledge_limit(n) for n in range(node_count)]
 
     # Knowledge sets as bit masks, each beside its entropy h[n]; h_self[n] is
-    # H({n}). `bits` holds every set seen in this run, so the distribution is
-    # asked once per new set.
+    # H({n}).
+    entropy = dist._mask_entropy
     masks = [1 << n for n in range(node_count)]
-    h_self = [dist.subset_entropy((n,)) for n in range(node_count)]
+    h_self = [entropy(mask) for mask in masks]
     h = list(h_self)
-    bits = dict(zip(masks, h_self))
 
     def know(n: int) -> tuple[int, float]:
         return masks[n], h[n]
-
-    def entropy(mask: int) -> float:
-        value = bits.get(mask)
-        if value is None:
-            value = bits[mask] = dist.subset_entropy(_members(mask))
-        return value
 
     # Every node starts holding only itself, a gain of exactly zero.
     kg = [0.0] * node_count

@@ -25,12 +25,12 @@ smallest integer dtype that holds every category, and the atom weights. The
 ``atoms`` mapping of outcome tuples to weights is built from them the first
 time it is read; no query needs it.
 
-Entropies are memoized per variable subset, keyed by the validated
-``frozenset`` of its ids. A frozenset that is already a memo key was checked
-when it was stored, so a repeat query with it (the simulation engine's
-knowledge sets) is one dict lookup; any other argument is converted with
-``int()`` and bounds-checked, and only a memo miss sorts the ids for the
-kernel.
+A variable subset has one key everywhere: the Python int bit mask with bit
+``i`` set for each member ``i``. Ids are converted with ``int()`` and
+bounds-checked before any is shifted into a mask. Entropies are memoized by
+mask, and the partition cache is keyed by mask too, so the simulation engine,
+which holds its knowledge sets as masks, reads a known entropy with one dict
+lookup and sends only memo misses through :meth:`JointDistribution.subset_entropy`.
 
 Conventions:
 
@@ -85,9 +85,14 @@ def nonnegative_bits(value: float) -> float:
     )
 
 
-def _text(ids: frozenset[int]) -> str:
+def _bits(mask: int) -> list[int]:
+    """The members of a bit mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _text(mask: int) -> str:
     """A subset as its sorted id tuple, the form error messages show."""
-    return str(tuple(sorted(int(i) for i in ids)))
+    return str(tuple(_bits(mask)))
 
 
 class _Partition(NamedTuple):
@@ -155,7 +160,7 @@ class JointDistribution:
         # Summed as Python ints, so that no total overflows.
         self.total_weight = int(weights.sum(dtype=object))
         self._weights = weights.astype(np.float64)
-        self._entropy_memo: dict[frozenset[int], float] = {}
+        self._entropy_memo: dict[int, float] = {}
         self._partitions: OrderedDict[int, _Partition] = OrderedDict()
         self._partition_bytes = 0
         self._partition_budget = self._columns.nbytes
@@ -213,20 +218,16 @@ class JointDistribution:
 
     # -- subset handling -------------------------------------------------------
 
-    def _canonical_subset(self, members: Iterable[int]) -> frozenset[int]:
-        # A memo key was validated when it was stored, so it is returned as
-        # it is; anything else is converted and bounds-checked.
-        if isinstance(members, frozenset) and members in self._entropy_memo:
-            return members
-        # Built from a dict, the set's table is sized once for its length,
-        # about half the size that adding the ids one by one grows it to.
-        ids = frozenset(dict.fromkeys(int(i) for i in members))
+    def _mask(self, members: Iterable[int]) -> int:
+        # Every id is converted and bounds-checked before any is shifted, so
+        # a huge id raises instead of building a huge int.
+        ids = {int(i) for i in members}
         bad = [i for i in ids if i < 0 or i >= self.user_count]
         if bad:
             raise BadVariableIndex(
                 f"variable {min(bad)} outside [0, {self.user_count})"
             )
-        return ids
+        return sum(1 << i for i in ids)
 
     def all_variables(self) -> tuple[int, ...]:
         """The full variable set ``(0, ..., user_count - 1)``."""
@@ -242,28 +243,29 @@ class JointDistribution:
         entropy is ``-sum(p * log2(p))`` over the merged projections. The
         entropy of the empty set is 0.
         """
-        key = self._canonical_subset(members)
-        value = self._entropy_memo.get(key)
+        mask = self._mask(members)
+        value = self._entropy_memo.get(mask)
         if value is None:
-            value = (
-                nonnegative_bits(self._projection_entropy(tuple(sorted(key))))
-                if key
-                else 0.0
-            )
-            self._entropy_memo[key] = value
+            value = nonnegative_bits(self._projection_entropy(mask)) if mask else 0.0
+            self._entropy_memo[mask] = value
         return value
 
-    def _projection_entropy(self, key: tuple[int, ...]) -> float:
-        # The projections onto ``key`` are the blocks of the partition of
+    def _mask_entropy(self, mask: int) -> float:
+        # ``mask`` is a valid subset. A memo miss goes through subset_entropy,
+        # so that a wrapper around it sees every set the kernel is asked for.
+        value = self._entropy_memo.get(mask)
+        if value is None:
+            value = self.subset_entropy(_bits(mask))
+        return value
+
+    def _projection_entropy(self, members: int) -> float:
+        # The projections onto ``members`` are the blocks of the partition of
         # atoms it induces. Refine the largest cached partition of a subset
-        # of ``key`` by the remaining columns (or the one-block partition of
-        # the empty set, when none is cached), then sum w*log2(w) over the
+        # of ``members`` by the remaining columns (or the one-block partition
+        # of the empty set, when none is cached), then sum w*log2(w) over the
         # blocks in float64.
-        members = 0
-        for i in key:
-            members |= 1 << i
-        parent_members, parent = self._cached_parent(key, members)
-        part = self._refine(parent, [i for i in key if not parent_members >> i & 1])
+        parent_members, parent = self._cached_parent(members)
+        part = self._refine(parent, _bits(members & ~parent_members))
         self._cache_partition(members, part)
         merged = np.bincount(
             part.labels, weights=self._weights[part.rows], minlength=part.blocks
@@ -306,17 +308,15 @@ class JointDistribution:
         labels = (np.cumsum(shared, dtype=np.int32) - 1)[inverse[active]]
         return _Partition(rows[active], labels, int(shared.sum()), settled)
 
-    def _cached_parent(
-        self, key: tuple[int, ...], members: int
-    ) -> tuple[int, _Partition | None]:
-        # Subsets are bit masks over the variables. A subset one variable
-        # short of ``members`` is the largest possible parent, so those are
-        # probed first; otherwise every cached entry is scanned. The lock
-        # keeps another thread's eviction from resizing the cache mid-scan.
+    def _cached_parent(self, members: int) -> tuple[int, _Partition | None]:
+        # A subset one variable short of ``members`` is the largest possible
+        # parent, so those are probed first; otherwise every cached entry is
+        # scanned. The lock keeps another thread's eviction from resizing the
+        # cache mid-scan.
         partitions = self._partitions
         with self._partition_lock:
             best_members, best = 0, None
-            for i in key:
+            for i in _bits(members):
                 best = partitions.get(members ^ (1 << i))
                 if best is not None:
                     best_members = members ^ (1 << i)
@@ -353,25 +353,23 @@ class JointDistribution:
 
     def conditional_entropy(self, a: Iterable[int], b: Iterable[int]) -> float:
         """``H(A | B) = H(A ∪ B) - H(B)`` in bits, for disjoint groups."""
-        a_ids = self._canonical_subset(a)
-        b_ids = self._canonical_subset(b)
-        if a_ids & b_ids:
-            raise OverlappingSets(f"groups {_text(a_ids)} and {_text(b_ids)} overlap")
-        joint = self.subset_entropy(a_ids | b_ids)
-        return nonnegative_bits(joint - self.subset_entropy(b_ids))
+        a_mask, b_mask = self._mask(a), self._mask(b)
+        if a_mask & b_mask:
+            raise OverlappingSets(f"groups {_text(a_mask)} and {_text(b_mask)} overlap")
+        joint = self._mask_entropy(a_mask | b_mask)
+        return nonnegative_bits(joint - self._mask_entropy(b_mask))
 
     def mutual_information(self, a: Iterable[int], b: Iterable[int]) -> float:
         """``I(A; B) = H(A) + H(B) - H(A ∪ B)`` in bits, for disjoint nonempty groups."""
-        a_ids = self._canonical_subset(a)
-        b_ids = self._canonical_subset(b)
-        if not a_ids or not b_ids:
+        a_mask, b_mask = self._mask(a), self._mask(b)
+        if not a_mask or not b_mask:
             raise EmptySet("mutual information needs two nonempty groups")
-        if a_ids & b_ids:
-            raise OverlappingSets(f"groups {_text(a_ids)} and {_text(b_ids)} overlap")
+        if a_mask & b_mask:
+            raise OverlappingSets(f"groups {_text(a_mask)} and {_text(b_mask)} overlap")
         value = (
-            self.subset_entropy(a_ids)
-            + self.subset_entropy(b_ids)
-            - self.subset_entropy(a_ids | b_ids)
+            self._mask_entropy(a_mask)
+            + self._mask_entropy(b_mask)
+            - self._mask_entropy(a_mask | b_mask)
         )
         return nonnegative_bits(value)
 
@@ -383,9 +381,9 @@ class JointDistribution:
         Joint entropy of all variables minus the entropy user ``i`` already
         holds on its own.
         """
-        single = self._canonical_subset([i])
+        single = self._mask([i])
         return nonnegative_bits(
-            self.subset_entropy(self.all_variables()) - self.subset_entropy(single)
+            self._mask_entropy((1 << self.user_count) - 1) - self._mask_entropy(single)
         )
 
     def knowledge_gain(self, i: int, holding: Iterable[int]) -> float:
@@ -395,15 +393,14 @@ class JointDistribution:
         ``H(holding) - H({i})``: zero when ``holding == {i}`` and equal to
         :meth:`knowledge_limit` when ``holding`` covers every user.
         """
-        held = self._canonical_subset(holding)
+        held = self._mask(holding)
         i = int(i)
-        if i not in held:
+        # Only a valid id is shifted; any other is missing from a valid set.
+        if not (0 <= i < self.user_count and held >> i & 1):
             raise SelfNotInKnowledgeSet(
                 f"user {i} missing from its own knowledge set {_text(held)}"
             )
-        return nonnegative_bits(
-            self.subset_entropy(held) - self.subset_entropy(frozenset((i,)))
-        )
+        return nonnegative_bits(self._mask_entropy(held) - self._mask_entropy(1 << i))
 
     def chain_decomposition(self, order: Sequence[int]) -> list[float]:
         """Conditional-entropy terms of the chain rule along ``order``.
@@ -416,7 +413,7 @@ class JointDistribution:
             raise ValueError("chain decomposition needs at least two variables")
         if len(set(ids)) != len(ids):
             raise DuplicateVariable(f"order {ids} repeats a variable")
-        self._canonical_subset(ids)
+        self._mask(ids)
         return [
             self.conditional_entropy([ids[t]], ids[:t]) for t in range(1, len(ids))
         ]

@@ -413,6 +413,61 @@ class TestPipelineDeterminism:
         capsys.readouterr()
 
 
+class TestPathClash:
+    """Two path flags of one command naming one file exit 2 before any I/O."""
+
+    @pytest.fixture()
+    def files(self, trace_m20, tmp_path, capsys):
+        (tmp_path / "activity.csv").write_text(
+            "timestamp,user,category\n0,0,1\n0,1,0\n", newline="\n"
+        )
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(trace_m20.read_bytes())
+        (tmp_path / "link.csv").symlink_to(trace)
+        code = main([
+            "simulate", "--trace", str(trace), "--mesh", "--policy", "fmpo",
+            "--round-robin", "2", "--metrics", str(tmp_path / "metrics.csv"),
+            "--summary", str(tmp_path / "summary.csv"),
+        ])
+        assert code == 0
+        capsys.readouterr()
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, flags", [
+        pytest.param(
+            ["ingest", "--input", "activity.csv", "--users", "2", "--categories", "2",
+             "--output", "activity.csv"],
+            ("--input", "--output"), id="ingest",
+        ),
+        pytest.param(
+            ["limits", "--trace", "trace.csv", "--output", "link.csv"],
+            ("--trace", "--output"), id="limits",
+        ),
+        pytest.param(
+            ["simulate", "--trace", "link.csv", "--mesh", "--policy", "smo", "--focal", "0",
+             "--metrics", "trace.csv", "--summary", "out.csv"],
+            ("--trace", "--metrics"), id="simulate",
+        ),
+        pytest.param(
+            ["simulate", "--trace", "trace.csv", "--mesh", "--policy", "smo", "--focal", "0",
+             "--metrics", "out.csv", "--summary", "out.csv"],
+            ("--metrics", "--summary"), id="simulate-outputs",
+        ),
+        pytest.param(
+            ["report", "--metrics", "metrics.csv", "--nodes", "0", "--output", "metrics.csv"],
+            ("--metrics", "--output"), id="report",
+        ),
+    ])
+    def test_exits_2_touching_no_file(self, files, argv, flags, capsys):
+        before = {path.name: path.read_bytes() for path in files.iterdir()}
+        code = main([str(files / arg) if arg.endswith(".csv") else arg for arg in argv])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {flags[0]} and {flags[1]} ")
+        assert {path.name: path.read_bytes() for path in files.iterdir()} == before
+
+
 class TestNonAsciiInput:
     """A non-ASCII byte in any input file is an input error (exit 3)."""
 

@@ -525,33 +525,42 @@ class TestRunOverMasks:
     @pytest.mark.parametrize("policy", [SMO, FMPO])
     def test_each_subset_queried_once(self, policy):
         table = inject_unique_tips(synthesize_traces(SynthConfig(20, 4, 200, 0.3, 2)))
-        dist = JointDistribution.from_samples(table)
         graph = random_geometric(20, 0.4, 2)
-        subset_entropy, knowledge_limit = dist.subset_entropy, dist.knowledge_limit
-        asked = []
-        in_limit = False
-
-        def limit(i):
-            nonlocal in_limit
-            in_limit = True
-            try:
-                return knowledge_limit(i)
-            finally:
-                in_limit = False
-
-        def entropy(members):
-            if not in_limit:
-                asked.append(frozenset(members))
-            return subset_entropy(members)
-
-        dist.knowledge_limit, dist.subset_entropy = limit, entropy
         schedule = round_robin_schedule(graph, 40, 2)
-        records = run(dist, graph, schedule, policy)
-        assert len(asked) == len(set(asked))
+
+        def traced(simulate):
+            # Every subset that reaches subset_entropy, and those asked
+            # outside knowledge_limit, on a distribution with an empty memo.
+            dist = JointDistribution.from_samples(table)
+            subset_entropy, knowledge_limit = dist.subset_entropy, dist.knowledge_limit
+            asked, outside_limit = [], []
+            in_limit = False
+
+            def limit(i):
+                nonlocal in_limit
+                in_limit = True
+                try:
+                    return knowledge_limit(i)
+                finally:
+                    in_limit = False
+
+            def entropy(members):
+                asked.append(frozenset(members))
+                if not in_limit:
+                    outside_limit.append(asked[-1])
+                return subset_entropy(members)
+
+            dist.knowledge_limit, dist.subset_entropy = limit, entropy
+            return simulate(dist, graph, schedule, policy), asked, outside_limit
+
+        records, asked, outside_limit = traced(run)
+        assert len(outside_limit) == len(set(outside_limit))
         # Forty rounds repeat encounters, so far fewer sets than encounters.
-        assert len(asked) < sum(len(round_pairs) for round_pairs in schedule)
-        del dist.knowledge_limit, dist.subset_entropy
-        assert records == previous_run(dist, graph, schedule, policy)
+        assert len(outside_limit) < sum(len(round_pairs) for round_pairs in schedule)
+        # The kernel sees the sets the frozenset loop asks for, in its order.
+        previous_records, previous_asked, _ = traced(previous_run)
+        assert records == previous_records
+        assert list(dict.fromkeys(asked)) == list(dict.fromkeys(previous_asked))
 
 
 class TestPolicyInvariants:

@@ -158,7 +158,8 @@ class TestKnowledgeGain:
 
 
 class TestMemoFastPath:
-    """A frozenset that is already a memo key skips validation; nothing else does."""
+    """Every query checks its ids, on a warm memo too, before any is shifted
+    into a bit mask: a huge id raises instead of building a huge int."""
 
     def _warm(self, dist):
         for i in range(dist.user_count):
@@ -181,6 +182,26 @@ class TestMemoFastPath:
             match=r"^user 0 missing from its own knowledge set \(1, 2\)$",
         ):
             three_atom.knowledge_gain(0, held)
+
+    @pytest.mark.parametrize(
+        "members, smallest", [([2**62], 2**62), ([10**30], 10**30), ([1, 10**30, -4], -4)]
+    )
+    def test_huge_ids_rejected_before_shifting(self, three_atom, members, smallest):
+        self._warm(three_atom)
+        message = rf"^variable {smallest} outside \[0, 3\)$"
+        with pytest.raises(BadVariableIndex, match=message):
+            three_atom.subset_entropy(members)
+        with pytest.raises(BadVariableIndex, match=message):
+            three_atom.conditional_entropy([0], members)
+
+    @pytest.mark.parametrize("user", [-1, 3])
+    def test_self_outside_range_is_missing(self, three_atom, user):
+        self._warm(three_atom)
+        with pytest.raises(
+            SelfNotInKnowledgeSet,
+            match=rf"^user {user} missing from its own knowledge set \(0, 1, 2\)$",
+        ):
+            three_atom.knowledge_gain(user, frozenset([0, 1, 2]))
 
     def test_overlap_messages_show_sorted_tuples(self, three_atom):
         self._warm(three_atom)

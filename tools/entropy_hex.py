@@ -7,8 +7,9 @@ its inputs to ``.perfbench-work/`` at the default seed::
 
 For each workload, the trace-reading commands (``limits``, ``simulate``) run
 in-process with ``JointDistribution._projection_entropy`` wrapped, so every
-subset they query is recorded with its entropy. ``--random`` more subsets per
-workload, drawn with a fixed seed, are then queried on a fresh distribution.
+subset they query (the members of the bit mask the kernel takes) is recorded
+with its entropy. ``--random`` more subsets per workload, drawn with a fixed
+seed, are then queried on a fresh distribution.
 The output is one JSON object: workload -> sorted subset -> ``float.hex()``.
 Run it against two checkouts' ``src/`` and compare the files to check that a
 kernel change keeps every entropy bit-identical.
@@ -30,6 +31,7 @@ from run import DEFAULT_SEED, SIZES, WORK, commands  # noqa: E402
 
 from oppknow import JointDistribution, read_sample_table  # noqa: E402
 from oppknow.cli import main  # noqa: E402
+from oppknow.measures import _bits  # noqa: E402
 
 
 def workload_entropies(workload: str, extra: int) -> dict[str, str]:
@@ -38,8 +40,9 @@ def workload_entropies(workload: str, extra: int) -> dict[str, str]:
     found: dict[tuple[int, ...], float] = {}
     kernel = JointDistribution._projection_entropy
 
-    def recording(dist, key):
-        found[key] = kernel(dist, key)
+    def recording(dist, mask):
+        key = tuple(_bits(mask))
+        found[key] = kernel(dist, mask)
         return found[key]
 
     JointDistribution._projection_entropy = recording
