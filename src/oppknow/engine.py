@@ -24,9 +24,11 @@ that took part in the round; every other node keeps its set and its gain. It
 yields each round's records as the round ends, so a caller can write them out
 without holding the whole run; :func:`run` collects them into one list.
 
-Inside the engine a knowledge set is a Python int bit mask (bit ``n`` set
-means source ``n`` is held), the key the distribution memoizes entropies by,
-so a set seen before costs one dict lookup and only a new set reaches
+Inside the engine a node's state is one ``(mask, bits)`` pair: its knowledge
+set as a Python int bit mask (bit ``n`` set means source ``n`` is held), the
+key the distribution memoizes entropies by, beside that set's entropy. After
+one pair check, an encounter is one pure step from the partners' pairs to
+their new pairs and the two overheads; only a set never seen before reaches
 :meth:`~oppknow.measures.JointDistribution.subset_entropy`. The public API
 (:data:`KnowledgeState`, :func:`init_state`, :func:`apply_encounter`,
 :func:`encounter_overhead`) still takes and returns frozensets.
@@ -40,12 +42,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    BadVariableIndex,
-    NotAnEdge,
-    SelfEncounter,
-    ShapeMismatch,
-)
+from .errors import BadVariableIndex, NotAnEdge, SelfEncounter, ShapeMismatch
 from .measures import JointDistribution, _bits, nonnegative_bits
 # The metrics records and their CSV format are defined in .metrics, which
 # needs no numpy, and stay importable from here.
@@ -71,43 +68,46 @@ def init_state(node_count: int) -> KnowledgeState:
     return tuple(frozenset([n]) for n in range(node_count))
 
 
-def _encounter(
-    know: Callable[[int], tuple[int, float]],
-    entropy: Callable[[int], float],
-    node_count: int,
-    i: int,
-    j: int,
-    policy: Policy,
-    graph: Graph | None,
-) -> tuple[int, int, float, float, tuple[float, float]]:
-    """Check one encounter's pair; return both partners' new sets, their
-    entropies and the overheads.
-
-    Sets are bit masks. ``know(n)`` gives node ``n``'s set and its entropy,
-    and ``entropy`` gives the entropy of any other set. Each partner's new
-    set is the union its overhead needs, so it is built and queried once.
-    An overhead is ``H(sent) + H(held) - H(sent ∪ held)``.
-    """
+def _pair(node_count: int, graph: Graph | None, i: int, j: int) -> tuple[int, int]:
+    """Check one encounter's pair; return its ids as Python ints (a numpy id
+    would wrap at 64 bits when shifted)."""
     if i == j:
         raise SelfEncounter(f"node {i} cannot encounter itself")
     if not (0 <= i < node_count and 0 <= j < node_count):
         raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {node_count})")
     if graph is not None and not graph.has_edge(i, j):
         raise NotAnEdge(f"({i}, {j}) is not an edge of the topology")
-    # Shift Python ints only: a numpy id would wrap at 64 bits.
-    i, j = operator.index(i), operator.index(j)
-    (know_i, h_i), (know_j, h_j) = know(i), know(j)
+    return operator.index(i), operator.index(j)
+
+
+def _encounter(
+    entropy: Callable[[int], float],
+    policy: Policy,
+    i: int,
+    know_i: tuple[int, float],
+    j: int,
+    know_j: tuple[int, float],
+) -> tuple[tuple[int, float], tuple[int, float], tuple[float, float]]:
+    """One encounter step: both partners' new ``(mask, bits)`` pairs and the
+    two overheads.
+
+    ``know_i`` and ``know_j`` are each partner's set as a bit mask beside its
+    entropy, and ``entropy`` gives the entropy of any other set. Each
+    partner's new set is the union its overhead needs, so it is built and
+    queried once. An overhead is ``H(sent) + H(held) - H(sent ∪ held)``.
+    """
+    (mask_i, h_i), (mask_j, h_j) = know_i, know_j
     if policy is Policy.SEND_MINE_ONLY:
-        new_i, new_j = know_i | 1 << j, know_j | 1 << i
+        new_i, new_j = mask_i | 1 << j, mask_j | 1 << i
         h_new_j = entropy(new_j)
         oh_i = nonnegative_bits(entropy(1 << i) + h_j - h_new_j)
         h_new_i = entropy(new_i)
         oh_j = nonnegative_bits(entropy(1 << j) + h_i - h_new_i)
-        return new_i, new_j, h_new_i, h_new_j, (oh_i, oh_j)
-    merged = know_i | know_j
+        return (new_i, h_new_i), (new_j, h_new_j), (oh_i, oh_j)
+    merged = mask_i | mask_j
     h_merged = entropy(merged)
     shared = nonnegative_bits(h_i + h_j - h_merged)
-    return merged, merged, h_merged, h_merged, (shared, shared)
+    return (merged, h_merged), (merged, h_merged), (shared, shared)
 
 
 def encounter_overhead(
@@ -142,17 +142,15 @@ def apply_encounter(
     knowledge gain; nodes outside the pair are unchanged. When ``graph`` is
     given the pair must be one of its edges.
     """
-
-    def know(n: int) -> tuple[int, float]:
-        mask = dist._mask(state[n])
-        return mask, dist._mask_entropy(mask)
-
-    new_i, new_j, h_new_i, h_new_j, overheads = _encounter(
-        know, dist._mask_entropy, len(state), i, j, policy, graph
+    i, j = _pair(len(state), graph, i, j)
+    masks = dist._mask(state[i]), dist._mask(state[j])
+    know_i, know_j = [(mask, dist._mask_entropy(mask)) for mask in masks]
+    (new_i, h_new_i), (new_j, h_new_j), overheads = _encounter(
+        dist._mask_entropy, policy, i, know_i, j, know_j
     )
     deltas = {
-        i: nonnegative_bits(h_new_i - know(i)[1]),
-        j: nonnegative_bits(h_new_j - know(j)[1]),
+        i: nonnegative_bits(h_new_i - know_i[1]),
+        j: nonnegative_bits(h_new_j - know_j[1]),
     }
     set_i, set_j = frozenset(_bits(new_i)), frozenset(_bits(new_j))
     new_state = tuple(
@@ -225,15 +223,11 @@ def _rounds(
     node_count = graph.node_count
     limits = [dist.knowledge_limit(n) for n in range(node_count)]
 
-    # Knowledge sets as bit masks, each beside its entropy h[n]; h_self[n] is
-    # H({n}).
+    # Each node's knowledge set as a bit mask beside its entropy; h_self[n]
+    # is H({n}).
     entropy = dist._mask_entropy
-    masks = [1 << n for n in range(node_count)]
-    h_self = [entropy(mask) for mask in masks]
-    h = list(h_self)
-
-    def know(n: int) -> tuple[int, float]:
-        return masks[n], h[n]
+    know = [(1 << n, entropy(1 << n)) for n in range(node_count)]
+    h_self = [h for _, h in know]
 
     # Every node starts holding only itself, a gain of exactly zero.
     kg = [0.0] * node_count
@@ -249,21 +243,20 @@ def _rounds(
             seen.update((i, j))
 
         oh_round = [0.0] * node_count
-        participated = [False] * node_count
         for i, j in round_pairs:
             # Pairs are vertex-disjoint, so sequential application equals
             # simultaneous application against the pre-round snapshot.
-            masks[i], masks[j], h[i], h[j], (oh_i, oh_j) = _encounter(
-                know, entropy, node_count, i, j, policy, graph
+            i, j = _pair(node_count, graph, i, j)
+            know[i], know[j], (oh_i, oh_j) = _encounter(
+                entropy, policy, i, know[i], j, know[j]
             )
             oh_round[i] += oh_i
             oh_round[j] += oh_j
-            participated[i] = participated[j] = True
 
         records = []
         for n in range(node_count):
-            if participated[n]:
-                kg[n] = nonnegative_bits(h[n] - h_self[n])
+            if n in seen:
+                kg[n] = nonnegative_bits(know[n][1] - h_self[n])
                 oh_cum[n] += oh_round[n]
             records.append(
                 MetricsRecord(
@@ -295,11 +288,17 @@ def steps_to_limit(
     ``tol``. Returns 0 when the limit is zero bits away from the start, and
     ``None`` when the node never reaches it. ``records`` hold the node's
     records in round order, one per round: :func:`run`'s, or those read back
-    by :func:`read_metrics_csv`.
+    by :func:`read_metrics_csv`. A record of the node at a round outside the
+    schedule raises :class:`~oppknow.errors.ShapeMismatch`.
     """
     progress = _LimitProgress(tol)
     for record in records:
         if record.node == node:
+            if not 0 <= record.round_index < len(schedule):
+                raise ShapeMismatch(
+                    f"node {node} has a record at round {record.round_index}, "
+                    f"outside the schedule's {len(schedule)} rounds"
+                )
             progress.add(record, any(node in pair for pair in schedule[record.round_index]))
     if progress.last is None:
         raise BadVariableIndex(f"no records for node {node}")

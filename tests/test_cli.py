@@ -4,6 +4,7 @@ import pytest
 
 from oppknow import random_geometric, read_sample_table
 from oppknow.cli import main
+from oppknow.metrics import METRICS_HEADER
 
 
 def read_csv_dict(path):
@@ -411,6 +412,78 @@ class TestPipelineDeterminism:
     def test_usage_error_on_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+
+def _synth(users="4", rows="10", seed="1"):
+    return ["synth", "--users", users, "--categories", "6", "--rows", rows,
+            "--rho", "0.3", "--seed", seed]
+
+
+def _simulate(*flags):
+    return ["simulate", "--trace", "trace.csv", "--policy", "smo", *flags]
+
+
+@pytest.mark.parametrize("argv, reason", [
+    pytest.param(_synth(users="1"), "error: user_count must be >= 2", id="users-1"),
+    pytest.param(_synth(seed="-1"), "--seed", id="seed-negative"),
+    pytest.param(_synth(seed=str(2**64)), "--seed", id="seed-past-64-bits"),
+    pytest.param(_synth(rows="0"), "--rows", id="rows-0"),
+    pytest.param(_simulate("--mesh", "--round-robin", "3", "--topology-seed", "-1"),
+                 "--topology-seed", id="topology-seed-negative"),
+    pytest.param(_simulate("--mesh", "--round-robin", "0"), "--round-robin",
+                 id="round-robin-0"),
+    pytest.param(_simulate("--mesh", "--focal", "-1"), "--focal", id="focal-negative"),
+    pytest.param(_simulate("--geometric", "0", "--round-robin", "3"), "--geometric",
+                 id="geometric-0"),
+    pytest.param(_simulate("--geometric", "1.5", "--round-robin", "3"), "--geometric",
+                 id="geometric-1.5"),
+    pytest.param(["report", "--metrics", "metrics.csv", "--nodes", ","],
+                 "--nodes: node list is empty", id="nodes-empty"),
+])
+def test_bad_value_exits_2_creating_no_file(tmp_path, capsys, argv, reason):
+    outputs = {
+        "synth": ["--output", "out.csv"],
+        "simulate": ["--metrics", "metrics.csv", "--summary", "summary.csv"],
+        "report": ["--output", "out.csv"],
+    }[argv[0]]
+    code = main([str(tmp_path / arg) if arg.endswith(".csv") else arg
+                 for arg in argv + outputs])
+    assert code == 2
+    assert reason in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_consistency_failure_mid_run_exits_4_keeping_whole_rounds(
+    tmp_path, monkeypatch, capsys
+):
+    # The kernel answers its 13th and later cold queries with an impossible
+    # negative entropy, so the run fails after some rounds were written.
+    from oppknow.measures import JointDistribution
+
+    trace, metrics, summary = tmp_path / "t.csv", tmp_path / "m.csv", tmp_path / "s.csv"
+    assert main(["synth", "--users", "6", "--categories", "4", "--rows", "200", "--rho",
+                 "0.3", "--seed", "1", "--unique-tips", "--output", str(trace)]) == 0
+    capsys.readouterr()
+    kernel = JointDistribution._projection_entropy
+    queries = []
+
+    def failing(self, members):
+        queries.append(members)
+        return -1.0 if len(queries) >= 13 else kernel(self, members)
+
+    monkeypatch.setattr(JointDistribution, "_projection_entropy", failing)
+    code = main(["simulate", "--trace", str(trace), "--mesh", "--policy", "fmpo",
+                 "--round-robin", "10", "--metrics", str(metrics), "--summary", str(summary)])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: quantity that must be non-negative ")
+    lines = metrics.read_text().splitlines()
+    assert lines[0] == METRICS_HEADER
+    rows = [line.split(",")[:2] for line in lines[1:]]
+    assert 0 < len(rows) < 6 * 10
+    assert rows == [[str(r), str(n)] for r in range(len(rows) // 6) for n in range(6)]
+    assert not summary.exists()
 
 
 class TestPathClash:

@@ -66,6 +66,10 @@ class TestInitState:
     def test_single_node(self):
         assert init_state(1) == (frozenset([0]),)
 
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            init_state(0)
+
 
 class TestEncounterOverhead:
     def test_identical_users_pay_full_entropy(self, correlated_pair):
@@ -683,6 +687,18 @@ class TestStepsToLimit:
         schedule = [[(1, 2)], [(0, 1)], [(3, 4)], [(0, 3)], [(0, 2)], [(0, 4)]]
         records = run(small_dist, full_mesh(5), schedule, FMPO)
         assert steps_to_limit(records, 0, schedule) == 2
+
+    @pytest.mark.parametrize("rounds, bad", [((-1, 0), -1), ((0, 2), 2)])
+    def test_round_outside_schedule_rejected(self, rounds, bad):
+        # A round index counted from the end, or past it, is no round of the
+        # schedule: neither is counted or indexed.
+        schedule = [[(0, 1)], [(1, 2)]]
+        records = [
+            MetricsRecord(rounds[0], 2, SMO, 0.0, 1.0, 0.0, 0.0, False),
+            MetricsRecord(rounds[1], 2, SMO, 1.0, 1.0, 0.0, 0.0, True),
+        ]
+        with pytest.raises(ShapeMismatch, match=rf"^node 2 has a record at round {bad}, "):
+            steps_to_limit(records, 2, schedule)
 
 
 class TestMetricsFiles:

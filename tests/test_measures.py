@@ -53,6 +53,8 @@ class TestFromSamples:
     def test_out_of_range_category_rejected(self):
         with pytest.raises(MalformedSamples):
             JointDistribution.from_samples(SampleTable(2, 2, ((0, 5),)))
+        with pytest.raises(MalformedSamples, match="out-of-range category"):
+            JointDistribution(1, 2, {(2,): 1})
 
     def test_alphabet_past_two_to_the_63_rejected(self):
         # Ids are stored as int64, so an id of 2**63 or more cannot be held.
@@ -319,6 +321,11 @@ class TestConstruction:
     def test_zero_weight_rejected(self):
         with pytest.raises(MalformedSamples):
             JointDistribution(2, 2, {(0, 0): 0})
+
+    @pytest.mark.parametrize("user_count, category_count", [(0, 2), (1, 0)])
+    def test_no_users_or_categories_rejected(self, user_count, category_count):
+        with pytest.raises(MalformedSamples, match="_count must be >= 1"):
+            JointDistribution(user_count, category_count, {(0,): 1})
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(MalformedSamples):

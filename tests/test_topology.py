@@ -259,6 +259,10 @@ class TestFromEdgeList:
         with pytest.raises(InvalidEdge):
             Graph(3, [(0, 3)])
 
+    def test_no_nodes_rejected(self):
+        with pytest.raises(TooFewNodes):
+            Graph(0, [])
+
 
 class TestQueries:
     def test_path_connected_and_diameter(self):
@@ -337,11 +341,17 @@ class TestEdgeListFiles:
         write_edge_list(g, path)
         assert path.read_text() == "3\n0 1\n1 2\n"
 
-    def test_malformed_pair(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [
+        ("3\n0 1 2\n", 2),
+        ("three\n0 1\n", 1),
+        ("3\n0 1\n1 two\n", 3),
+    ])
+    def test_malformed_pair(self, tmp_path, text, line):
         path = tmp_path / "edges.txt"
-        path.write_text("3\n0 1 2\n")
-        with pytest.raises(ParseError):
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
             read_edge_list(path)
+        assert exc.value.line_number == line
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "edges.txt"

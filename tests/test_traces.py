@@ -359,6 +359,13 @@ class TestSampleTableFiles:
         with pytest.raises(ParseError):
             read_sample_table(path)
 
+    def test_non_integer_header_field(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("3,x,4\n")
+        with pytest.raises(ParseError, match="non-integer header field") as exc:
+            read_sample_table(path)
+        assert exc.value.line_number == 1
+
     def test_bad_width(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("2,2,1\n0,0,1\n")
