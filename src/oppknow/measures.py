@@ -196,13 +196,18 @@ class JointDistribution:
         """
         if not table.row_count:
             raise EmptyInput("sample table has no rows")
-        # The table's ids are valid, and np.unique returns the distinct rows
-        # sorted as tuples sort: the canonical atom order.
-        grid, counts = np.unique(table.samples, axis=0, return_counts=True)
+        # The table's ids are valid. Its rows sorted as tuples sort give the
+        # canonical atom order (np.lexsort takes its primary key last), and
+        # each row that differs from the one before starts an atom.
+        samples = table.samples
+        rows = samples[np.lexsort(samples.T[::-1])]
+        first = np.ones(len(rows), dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+        starts = np.flatnonzero(first)
         dist = cls.__new__(cls)
         dist.user_count = table.user_count
         dist.category_count = table.category_count
-        dist._store(grid, counts)
+        dist._store(rows[starts], np.diff(starts, append=len(rows)))
         return dist
 
     @cached_property

@@ -9,14 +9,17 @@ one-parameter correlation family spanning fully independent users (rho = 0)
 to identical users (rho = 1). Synthesis, unique tips and profiles are array
 operations on the table.
 
-Activity CSVs and trace files are read in two steps. One pass over the text,
-256 KB at a time, checks that the body holds only digits, commas and LF with
-no empty line and counts its lines; ``np.loadtxt`` then parses it straight
-from the file, and ranges and duplicates are checked as arrays. Input that
-any of these steps rejects (a bad field, a sign, a CR, a duplicate, an
-out-of-range id) is read again by the per-line loop, which accepts the same
-lenient forms it always has and is the only place that builds error
-messages, with their line numbers.
+Activity CSVs and trace files are parsed a line-aligned chunk of 64K
+characters at a time, straight into arrays allocated once at their final
+size: an activity CSV's three columns, sized by a pass that counts its
+lines, and a trace file's ``(T, M)`` table, sized by its header. A chunk is
+parsed (by ``np.fromstring``) only if every line in it is the expected
+number of nonempty runs of ASCII digits split by commas, and ranges and
+duplicates are then checked as arrays. Input that any of these steps
+rejects (a bad field, a sign, a CR, a blank line, a value of 2**63 - 1 or
+more, a duplicate, an out-of-range id) is read again by the per-line loop,
+which accepts the same lenient forms it always has and is the only place
+that builds error messages, with their line numbers.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so equal
 seeds give byte-identical tables on every platform.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import io
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +51,17 @@ ACTIVITY_HEADER = "timestamp,user,category"
 # function of the input table.
 _UNIQUE_TIP_SEED = 0x517E
 
-_ACTIVITY_DTYPE = [("t", "i8"), ("u", "i4"), ("c", "i4")]
-# Characters per read of the check pass. Larger chunks make the pass, not
-# the parsed arrays, set the peak memory of files of a few MB.
-_CHUNK_CHARS = 1 << 18
-_PLAIN_BYTES = b"0123456789,\n"
+# Characters per read of the line-count pass and the chunk reader. The
+# reader holds about 9 bytes per character of a chunk; with 256K-character
+# chunks those copies, not the arrays it fills, set the peak memory of
+# activity files of a few hundred KB.
+_CHUNK_CHARS = 1 << 16
+_DIGITS = b"0123456789"
+# The chunk reader turns commas and LFs into the spaces np.fromstring splits on.
+_SEPARATORS_TO_SPACES = bytes.maketrans(b",\n", b"  ")
+# strtoll saturates at this value instead of failing, so the reader leaves
+# any field that parses to it to the per-line loop.
+_INT64_MAX = (1 << 63) - 1
 # Cells per block of a trace file write: bounds the block's string objects.
 _WRITE_BLOCK_CELLS = 1 << 16
 
@@ -120,8 +129,9 @@ class SampleTable:
                 if not all(type(c) is int or isinstance(c, np.integer) for c in cells.flat):
                     raise MalformedSamples(f"category ids must be integers, got {grid.dtype}")
                 grid = cells
-            bad = (grid < 0) | (grid >= v)
-            if bad.any():
+            # Two reductions find a bad id with no table-sized temporaries.
+            if grid.min() < 0 or grid.max() >= v:
+                bad = (grid < 0) | (grid >= v)
                 row = int(bad.any(axis=1).argmax())
                 raise MalformedSamples(f"row {row} has a category outside [0, {v})")
         # A view, so that a caller's own array stays writeable.
@@ -171,25 +181,66 @@ class SynthConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def _plain_line_count(fh: io.TextIOBase) -> int | None:
-    # Reads the rest of ``fh`` a chunk at a time. Returns its line count if
-    # every line is a nonempty run of digits and commas ending in LF (the
-    # last one may lack it), else None. So np.loadtxt, which skips empty
-    # lines, parses one row per line, and no value has a sign.
-    lines, last = 0, b"\n"
+def _distinct(values: np.ndarray) -> np.ndarray:
+    # The sorted distinct values of ``values``, as np.unique returns them.
+    # On numpy 2.4 the first np.unique call imports numpy.ma (about 1.2 MB of
+    # RSS and 15 ms), which ingest would load for nothing else. numpy
+    # radix-sorts integers of up to 16 bits when asked for a stable sort.
+    ordered = np.sort(values, axis=None, kind="stable" if values.itemsize <= 2 else None)
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
+def _line_count(fh: io.TextIOBase) -> int | None:
+    # Lines in the rest of ``fh``, the last one counted even without its LF;
+    # None if the text does not decode.
+    lines, last = 0, "\n"
     try:
         while chunk := fh.read(_CHUNK_CHARS):
-            if not chunk.isascii():
-                return None
-            data = chunk.encode("ascii")
-            # ``last`` ends the previous chunk (first, the header's LF).
-            if data.translate(None, _PLAIN_BYTES) or b"\n\n" in last + data:
-                return None
-            lines += data.count(b"\n")
-            last = data[-1:]
+            lines += chunk.count("\n")
+            last = chunk[-1]
     except UnicodeDecodeError:
         return None
-    return lines + (last != b"\n")
+    return lines + (last != "\n")
+
+
+def _plain_chunks(fh: io.TextIOBase, fields: int) -> Iterator[np.ndarray | None]:
+    # Yields the rest of ``fh`` a line-aligned chunk at a time, each as a
+    # (lines, fields) int64 array. A chunk is plain if every line is
+    # ``fields`` nonempty runs of ASCII digits split by commas and ends in LF
+    # (the last line of the file may lack it). The first chunk that is not
+    # plain, does not decode or holds a value strtoll saturated at yields None
+    # and ends the reader.
+    row = b"," * (fields - 1) + b"\n"
+    while True:
+        try:
+            chunk = fh.read(_CHUNK_CHARS)
+            if chunk and chunk[-1] != "\n":
+                chunk += fh.readline()
+            data = chunk.encode("ascii")
+        except UnicodeError:  # text that does not decode, or is not ASCII
+            yield None
+            return
+        del chunk
+        if not data:
+            return
+        if not data.endswith(b"\n"):
+            data += b"\n"
+        # Without its digits, a plain chunk is one ``row`` per line, and it
+        # has a digit per field; np.fromstring then reads every field, which
+        # rules out the lone 0 it returns for text with no digits at all.
+        skeleton = data.translate(None, _DIGITS)
+        lines = len(skeleton) // len(row)
+        if skeleton != row * lines or len(data) - len(skeleton) < lines * fields:
+            yield None
+            return
+        del skeleton
+        values = np.fromstring(data.translate(_SEPARATORS_TO_SPACES), dtype=np.int64, sep=" ")
+        if values.size != lines * fields or (values == _INT64_MAX).any():
+            yield None
+            return
+        yield values.reshape(lines, fields)
 
 
 def parse_activity_csv(
@@ -237,32 +288,40 @@ def _parse_activity_plain(
     if fh.readline() not in (ACTIVITY_HEADER + "\n", ACTIVITY_HEADER):
         return None
     body = fh.tell()
-    lines = _plain_line_count(fh)
+    lines = _line_count(fh)
     if lines is None:
         return None
-    if lines:
-        fh.seek(body)
-        try:
-            obs = np.loadtxt(
-                fh, delimiter=",", comments=None, dtype=_ACTIVITY_DTYPE, ndmin=1
-            )
-        except (ValueError, OverflowError):
+    fh.seek(body)
+    # One slot per observation; a category is stored as its id + 1 below.
+    t = np.empty(lines, dtype=np.int64)
+    u = np.empty(lines, dtype=category_dtype(user_count))
+    c = np.empty(lines, dtype=category_dtype(category_count + 1))
+    start = 0
+    for rows in _plain_chunks(fh, 3):
+        if rows is None or start + len(rows) > lines:
             return None
-        if obs["u"].max() >= user_count or obs["c"].max() >= category_count:
+        if rows[:, 1].max() >= user_count or rows[:, 2].max() >= category_count:
             return None
-    else:
-        obs = np.zeros(0, dtype=_ACTIVITY_DTYPE)
+        end = start + len(rows)
+        t[start:end], u[start:end], c[start:end] = rows.T
+        start = end
+    if start != lines:
+        return None
+    c += 1
 
     # One cell per (timestamp, user), timestamps in ascending order; a cell
-    # holds its category + 1, so 0 marks a user not observed.
-    stamps = np.unique(obs["t"])
+    # holds its category + 1, so 0 marks a user not observed. Each column is
+    # freed once used, so that about two are live at a time.
+    stamps = _distinct(t)
     _check_cells(stamps.size, user_count)
-    cells = np.searchsorted(stamps, obs["t"])
+    cells = np.searchsorted(stamps, t)
+    del t
     cells *= user_count
-    cells += obs["u"]
-    grid = np.zeros(stamps.size * user_count, dtype=category_dtype(category_count + 1))
-    grid[cells] = obs["c"] + 1
-    del obs, cells
+    cells += u
+    del u
+    grid = np.zeros(stamps.size * user_count, dtype=c.dtype)
+    grid[cells] = c
+    del cells, c
     # Every observation fills one cell, so fewer filled cells than lines
     # means a repeated (timestamp, user) pair.
     if np.count_nonzero(grid) != lines:
@@ -401,7 +460,7 @@ def write_sample_table(table: SampleTable, path: str | os.PathLike) -> None:
     samples = table.samples
     # The text of each id present, looked up block by block of rows, so
     # memory follows the cells and not the largest id.
-    present = np.unique(samples)
+    present = _distinct(samples)
     names = np.array([str(c) for c in present.tolist()], dtype=object)
     block = max(1, _WRITE_BLOCK_CELLS // table.user_count)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -422,23 +481,27 @@ def read_sample_table(path: str | os.PathLike) -> SampleTable:
 
 def _read_sample_plain(fh: io.TextIOBase) -> SampleTable | None:
     # The array path; None hands the file to the per-line loop.
-    fields = fh.readline().removesuffix("\n").split(",")
+    header = fh.readline()
+    fields = header.removesuffix("\n").split(",")
     if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields):
         return None
     m, v, t = map(int, fields)
-    body = fh.tell()
-    if m < 1 or v < 1 or _plain_line_count(fh) != t:
+    # Nothing is allocated for a header with M or T x M of 2**63 or more, or
+    # with more rows than the rest of the file can hold (T rows of M fields
+    # take at least 2MT - 1 characters), or with none for a nonempty body.
+    if not (1 <= m < 1 << 63 and t * m < 1 << 63 and 1 <= v <= 1 << 63):
         return None
-    if not t:
-        return SampleTable(m, v, ())
-    fh.seek(body)
-    try:
-        samples = np.loadtxt(
-            fh, delimiter=",", comments=None, dtype=category_dtype(v), ndmin=2
-        )
-    except (ValueError, OverflowError):
+    rest = os.fstat(fh.fileno()).st_size - len(header)
+    if rest < 2 * m * t - 1 or (rest and not t):
         return None
-    if samples.shape != (t, m) or samples.max() >= v:
+    samples = np.empty((t, m), dtype=category_dtype(v))
+    start = 0
+    for rows in _plain_chunks(fh, m):
+        if rows is None or start + len(rows) > t or rows.max() > v - 1:
+            return None
+        samples[start : start + len(rows)] = rows
+        start += len(rows)
+    if start != t:
         return None
     return SampleTable(m, v, samples)
 

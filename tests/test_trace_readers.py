@@ -6,6 +6,7 @@ input with at most one mutation applied, and must give what the loop gives:
 an equal table, or the same exception type, message and line number.
 """
 
+import io
 import tracemalloc
 import warnings
 
@@ -14,8 +15,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oppknow import parse_activity_csv, read_sample_table
-from oppknow.traces import ACTIVITY_HEADER, _parse_activity_lines, _read_sample_lines
+from oppknow import SampleTable, parse_activity_csv, read_sample_table, traces, write_sample_table
+from oppknow.errors import OutOfRange, ParseError
+from oppknow.traces import (
+    ACTIVITY_HEADER,
+    _parse_activity_lines,
+    _parse_activity_plain,
+    _read_sample_lines,
+    _read_sample_plain,
+)
 
 # Each mutation makes one line lenient, malformed, out of range or repeated;
 # None leaves the input valid.
@@ -192,10 +200,88 @@ def test_header_only_input_warns_nothing(tmp_path):
         assert read_sample_table(trace).samples.shape == (0, 3)
 
 
+def array_and_loop(text, m=None, v=None, policy="drop-row", path=None):
+    """The array path's result (None if it declined) and the loop's outcome.
+
+    ``m`` and ``v`` given, ``text`` is an activity CSV; otherwise a trace
+    file, read from ``path``.
+    """
+    if m is not None:
+        fast = _parse_activity_plain(io.StringIO(text), m, v, policy)
+        return fast, outcome(lambda: _parse_activity_lines(text.splitlines(), m, v, policy))
+    path.write_bytes(text.encode("ascii"))
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        fast = _read_sample_plain(fh)
+    return fast, outcome(lambda: _read_sample_lines(text.splitlines()))
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 2, 5])
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_lines_straddling_chunks(tmp_path, monkeypatch, chunk_chars, end):
+    # Every line is longer than a chunk, so each read ends inside a line.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", chunk_chars)
+    observations = [(t, u, (t + u) % 3) for t in (5, 17, 123456) for u in range(2)][:-1]
+    text = ACTIVITY_HEADER + "\n" + "\n".join("%d,%d,%d" % obs for obs in observations) + end
+    for policy in ("drop-row", "idle-category"):
+        fast, loop = array_and_loop(text, 2, 3, policy)
+        assert fast == loop
+    fast, loop = array_and_loop("3,300,2\n0,299,17\n255,1,256" + end, path=tmp_path / "t.csv")
+    assert fast == loop
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
+def test_blank_line_in_one_column_trace(tmp_path, monkeypatch, chunk_chars):
+    # np.fromstring reads whitespace-only text as [0], so a blank line (or a
+    # chunk holding only one) must not pass for a row of zeros.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", chunk_chars)
+    for text in ("1,11,2\n10\n\n", "1,11,3\n10\n\n3\n", "1,2,2\n0\n\n", "1,2,1\n\n"):
+        fast, loop = array_and_loop(text, path=tmp_path / "t.csv")
+        assert fast is None
+        assert loop[0] is ParseError
+        assert outcome(lambda: read_sample_table(tmp_path / "t.csv")) == loop
+
+
+def test_largest_int64_field_goes_to_the_loop(tmp_path):
+    # strtoll saturates at 2**63 - 1, so the array path leaves that value,
+    # and every larger one, to the loop; 10**18 is an ordinary field.
+    trace = tmp_path / "t.csv"
+    for stamp, accepted in ((2**63 - 1, False), (2**64, False), (10**18, True)):
+        text = f"{ACTIVITY_HEADER}\n{stamp},0,1\n{stamp},1,0\n"
+        fast, loop = array_and_loop(text, 2, 2)
+        assert (fast is not None) == accepted
+        assert parse_activity_csv(text, 2, 2) == loop
+        assert loop.samples.tolist() == [[1, 0]]
+        fast, loop = array_and_loop(f"2,{2**63},1\n{stamp},0\n", path=trace)
+        assert (fast is not None) == accepted
+        assert outcome(lambda: read_sample_table(trace)) == loop
+        if stamp < 2**63:
+            assert loop.samples[0, 0] == stamp
+        else:
+            assert loop[0] is OutOfRange
+
+
+def test_leading_comma_goes_to_the_loop(tmp_path):
+    # ",0,1" lacks a digit for one field; ",00,1" has enough digits, but
+    # np.fromstring reads one value fewer than the line has fields.
+    for line in (",0,1", ",00,1"):
+        text = f"{ACTIVITY_HEADER}\n0,0,1\n{line}\n"
+        fast, loop = array_and_loop(text, 1, 2)
+        assert fast is None
+        assert outcome(lambda: parse_activity_csv(text, 1, 2)) == loop
+        assert loop[0] is ParseError and loop[2] == 3
+    trace = tmp_path / "t.csv"
+    for text in ("2,3,1\n,12\n", "2,3,2\n0,1\n,0,1\n"):
+        fast, loop = array_and_loop(text, path=trace)
+        assert fast is None
+        assert outcome(lambda: read_sample_table(trace)) == loop
+        assert loop[0] is ParseError
+
+
 # Peak traced allocations of a parse, as a multiple of the file's size. At
-# M=50 and 24 categories the array reader peaks at 3.5x (50k lines) and
-# 3.2x (200k lines); the per-line loop it replaced peaked at 6.0x and 5.5x.
-PARSE_PEAK_PER_FILE_BYTE = 4.5
+# M=50 and 24 categories the chunk reader peaks at 2.2x (50k lines) and
+# 2.0x (200k lines); np.loadtxt, which it replaced, peaked at 3.5x and 3.2x,
+# and the per-line loop at 6.0x and 5.5x.
+PARSE_PEAK_PER_FILE_BYTE = 2.5
 
 
 @pytest.mark.parametrize("timestamps", [1_000, 4_000])
@@ -216,3 +302,28 @@ def test_parse_memory_bounded_by_file_size(tmp_path, timestamps):
         tracemalloc.stop()
     assert np.array_equal(table.samples, categories)
     assert peak < PARSE_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
+# Peak traced allocations of reading a trace file: the table, plus the
+# per-chunk copies of the text and the int64 values parsed from it. At M=50
+# and 24 categories the chunk reader peaks at 0.59 MB over the table's bytes
+# with 64K-character chunks; np.loadtxt peaked at 7.7x a 200 KB table.
+READ_PEAK_PER_TABLE_BYTE = 1.5
+READ_PEAK_PER_CHUNK_CHAR = 10
+
+
+@pytest.mark.parametrize("timestamps", [4_000, 20_000])
+def test_read_memory_bounded_by_table_size(tmp_path, timestamps):
+    categories = np.random.default_rng(timestamps).integers(0, 24, size=(timestamps, 50))
+    table = SampleTable(50, 24, categories)
+    path = tmp_path / "trace.csv"
+    write_sample_table(table, path)
+    tracemalloc.start()
+    try:
+        read = read_sample_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read == table
+    nbytes = read.samples.nbytes
+    assert peak < READ_PEAK_PER_TABLE_BYTE * nbytes + READ_PEAK_PER_CHUNK_CHAR * traces._CHUNK_CHARS
