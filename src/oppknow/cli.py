@@ -65,16 +65,27 @@ def __getattr__(name: str):
 
 
 def _path_clash(args: argparse.Namespace) -> str | None:
-    """The error for two path flags naming one file, or None."""
-    seen: dict[str, str] = {}
+    """The error for two path flags naming one file, or None.
+
+    Paths name one file if they resolve to one path or, for files that
+    exist, to one device and inode: hard links resolve to different paths.
+    """
+    seen: dict[object, str] = {}
     for flag in _PATH_FLAGS:
         path = getattr(args, flag, None)
         if path is None:
             continue
-        real = os.path.realpath(path)
-        if real in seen:
-            return f"--{seen[real]} and --{flag} name the same file {path!r}"
-        seen[real] = flag
+        keys: list[object] = [os.path.realpath(path)]
+        try:
+            status = os.stat(path)
+        except OSError:
+            pass
+        else:
+            keys.append((status.st_dev, status.st_ino))
+        for key in keys:
+            if key in seen:
+                return f"--{seen[key]} and --{flag} name the same file {path!r}"
+        seen.update(dict.fromkeys(keys, flag))
     return None
 
 

@@ -10,12 +10,18 @@ to identical users (rho = 1). Synthesis, unique tips and profiles are array
 operations on the table.
 
 Activity CSVs and trace files are parsed a line-aligned chunk of 64K
-characters at a time, straight into arrays allocated once at their final
-size: an activity CSV's three columns, sized by a pass that counts its
-lines, and a trace file's ``(T, M)`` table, sized by its header. A chunk is
-parsed (by ``np.fromstring``) only if every line in it is the expected
-number of nonempty runs of ASCII digits split by commas, and ranges and
-duplicates are then checked as arrays. Input that any of these steps
+characters at a time. A trace file's chunks fill its ``(T, M)`` table,
+allocated once at the size its header gives. An activity CSV whose stamps
+never go down, the order in which logs are written, becomes table rows chunk
+by chunk: each chunk's observations are scattered into the rows of its
+stamps, and its last row stays open for the next chunk, so memory follows
+the table and not the log. A stamp that goes backwards sends the reader back
+to the first observation and down a column path, which holds every
+observation's stamp, user and category in arrays sized by a pass that counts
+the lines: no row of an out-of-order log is complete before its last line.
+A chunk is parsed (by ``np.fromstring``) only if every line in it is the
+expected number of nonempty runs of ASCII digits split by commas, and ranges
+and duplicates are then checked as arrays. Input that any of these steps
 rejects (a bad field, a sign, a CR, a blank line, a value of 2**63 - 1 or
 more, a duplicate, an out-of-range id) is read again by the per-line loop,
 which accepts the same lenient forms it always has and is the only place
@@ -51,10 +57,11 @@ ACTIVITY_HEADER = "timestamp,user,category"
 # function of the input table.
 _UNIQUE_TIP_SEED = 0x517E
 
-# Characters per read of the line-count pass and the chunk reader. The
-# reader holds about 9 bytes per character of a chunk; with 256K-character
-# chunks those copies, not the arrays it fills, set the peak memory of
-# activity files of a few hundred KB.
+# Characters per read of the chunk reader and the line-count pass. The
+# reader holds about 8 bytes per character of a chunk (its text, bytes and
+# int64 values), all that an in-order activity parse holds besides the
+# table; 256K-character chunks would hold 2 MB, four times the table of a
+# 5 MB log of 50 users.
 _CHUNK_CHARS = 1 << 16
 _DIGITS = b"0123456789"
 # The chunk reader turns commas and LFs into the spaces np.fromstring splits on.
@@ -63,7 +70,7 @@ _SEPARATORS_TO_SPACES = bytes.maketrans(b",\n", b"  ")
 # any field that parses to it to the per-line loop.
 _INT64_MAX = (1 << 63) - 1
 # Cells per block of a trace file write: bounds the block's string objects.
-_WRITE_BLOCK_CELLS = 1 << 16
+_WRITE_BLOCK_CELLS = 1 << 14
 
 
 def category_dtype(category_count: int) -> np.dtype:
@@ -278,15 +285,103 @@ def parse_activity_csv(
     return _parse_activity_lines(lines, user_count, category_count, missing_policy)
 
 
+class _ColumnsNeeded(Exception):
+    """Raised by the in-order path for input that only the column path
+    places: a stamp that goes backwards, or a table of 2**63 cells or more,
+    whose stamps the column path counts for the error message."""
+
+
 def _parse_activity_plain(
     fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
 ) -> SampleTable | None:
-    # The array path; None hands the input to the per-line loop, which also
+    # The array paths; None hands the input to the per-line loop, which also
     # reports counts below 1 and alphabets too wide for the grid's int64 ids.
     if user_count < 1 or not 1 <= category_count < 1 << 63:
         return None
     if fh.readline() not in (ACTIVITY_HEADER + "\n", ACTIVITY_HEADER):
         return None
+    body = fh.tell()
+    try:
+        return _parse_activity_in_order(fh, user_count, category_count, missing_policy)
+    except _ColumnsNeeded:
+        fh.seek(body)
+    return _parse_activity_columns(fh, user_count, category_count, missing_policy)
+
+
+def _out_of_range(rows: np.ndarray, user_count: int, category_count: int) -> bool:
+    # Fields hold only digits, so no value is negative.
+    return bool(rows[:, 1].max() >= user_count or rows[:, 2].max() >= category_count)
+
+
+def _parse_activity_in_order(
+    fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
+) -> SampleTable | None:
+    # Table rows straight from a body whose stamps never go down, so that
+    # memory follows the table and one chunk, not the log. A cell holds its
+    # category + 1, so 0 marks a user not observed. A chunk's stamps are
+    # ranked by a change mask and its observations scattered into a block of
+    # rows, the first of them the row that the previous chunk left open;
+    # every row of the block but the last is then closed: appended to one
+    # bytearray, which realloc grows with at most an eighth to spare, so the
+    # table is never held twice.
+    drop = missing_policy == "drop-row"
+    dtype = category_dtype(category_count + 1)
+    kept = bytearray()
+    open_row = last = None
+    stamps = filled = lines = 0
+
+    def close(rows: np.ndarray) -> None:
+        nonlocal filled
+        filled += np.count_nonzero(rows)
+        if drop:
+            rows = rows[rows.all(axis=1)]
+            rows -= 1
+        kept.extend(memoryview(rows))
+
+    for rows in _plain_chunks(fh, 3):
+        if rows is None or _out_of_range(rows, user_count, category_count):
+            return None
+        t = rows[:, 0]
+        if last is None:
+            last = t[0]
+        if t[0] < last or (t[1:] < t[:-1]).any():
+            raise _ColumnsNeeded
+        starts = np.empty(t.size, dtype=bool)
+        starts[0] = t[0] != last
+        np.not_equal(t[1:], t[:-1], out=starts[1:])
+        rank = np.cumsum(starts)
+        height = int(rank[-1]) + 1
+        try:
+            _check_cells(stamps + height, user_count)
+        except MemoryError:
+            raise _ColumnsNeeded from None
+        block = np.zeros((height, user_count), dtype=dtype)
+        if open_row is not None:
+            block[0] = open_row
+        rows[:, 2] += 1
+        block[rank, rows[:, 1]] = rows[:, 2]
+        lines += len(rows)
+        last = t[-1]
+        del rows, t, rank
+        open_row = block[-1].copy()
+        if height > 1:
+            close(block[:-1])
+            stamps += height - 1
+    if open_row is not None:
+        close(open_row[None])
+    # Every observation fills one cell, so fewer filled cells than lines
+    # means a repeated (timestamp, user) pair.
+    if filled != lines:
+        return None
+    grid = np.frombuffer(kept, dtype=dtype).reshape(-1, user_count)
+    return SampleTable(user_count, category_count if drop else category_count + 1, grid)
+
+
+def _parse_activity_columns(
+    fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
+) -> SampleTable | None:
+    # Every observation's stamp, user and category as columns, then the
+    # table: no row of an out-of-order body is known before its last line.
     body = fh.tell()
     lines = _line_count(fh)
     if lines is None:
@@ -300,7 +395,7 @@ def _parse_activity_plain(
     for rows in _plain_chunks(fh, 3):
         if rows is None or start + len(rows) > lines:
             return None
-        if rows[:, 1].max() >= user_count or rows[:, 2].max() >= category_count:
+        if _out_of_range(rows, user_count, category_count):
             return None
         end = start + len(rows)
         t[start:end], u[start:end], c[start:end] = rows.T

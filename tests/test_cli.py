@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from oppknow import random_geometric, read_sample_table
@@ -119,6 +120,37 @@ class TestIngest:
         assert code == 0
         assert capsys.readouterr().out == "M=2 v=3000001 T=2\n"
         assert out.read_bytes() == b"2,3000001,2\n3000000,5\n7,0\n"
+
+    @pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
+    def test_shuffled_log_gives_the_same_trace(self, tmp_path, capsys, policy):
+        # The in-order log is parsed row by row, its shuffled copy by the
+        # column path; about a tenth of the stamps lack a user.
+        rng = np.random.default_rng(3)
+        categories = rng.integers(0, 5, size=(430, 6))
+        observed = rng.random((430, 6)) > 0.02
+        lines = [
+            f"{7 * t},{u},{c}\n"
+            for t, (row, seen) in enumerate(zip(categories.tolist(), observed.tolist()))
+            for u, c in enumerate(row) if seen[u]
+        ]
+        ordered, shuffled = tmp_path / "ordered.csv", tmp_path / "shuffled.csv"
+        ordered.write_text("timestamp,user,category\n" + "".join(lines), newline="\n")
+        rng.shuffle(lines)
+        shuffled.write_text("timestamp,user,category\n" + "".join(lines), newline="\n")
+        traces = []
+        for src in (ordered, shuffled):
+            out = tmp_path / f"trace-{src.name}"
+            code = main([
+                "ingest", "--input", str(src), "--users", "6", "--categories", "5",
+                "--missing-policy", policy, "--output", str(out),
+            ])
+            assert code == 0
+            traces.append(out.read_bytes())
+        assert traces[0] == traces[1]
+        kept = observed.any(axis=1) if policy == "idle-category" else observed.all(axis=1)
+        assert read_sample_table(tmp_path / "trace-ordered.csv").row_count == kept.sum()
+        assert not observed.all(axis=1).all()
+        capsys.readouterr()
 
     def test_parse_error_exits_3(self, tmp_path, capsys):
         src = tmp_path / "activity.csv"
@@ -497,12 +529,14 @@ class TestPathClash:
         trace = tmp_path / "trace.csv"
         trace.write_bytes(trace_m20.read_bytes())
         (tmp_path / "link.csv").symlink_to(trace)
+        (tmp_path / "activity-hard.csv").hardlink_to(tmp_path / "activity.csv")
         code = main([
             "simulate", "--trace", str(trace), "--mesh", "--policy", "fmpo",
             "--round-robin", "2", "--metrics", str(tmp_path / "metrics.csv"),
             "--summary", str(tmp_path / "summary.csv"),
         ])
         assert code == 0
+        (tmp_path / "metrics-hard.csv").hardlink_to(tmp_path / "metrics.csv")
         capsys.readouterr()
         return tmp_path
 
@@ -511,6 +545,11 @@ class TestPathClash:
             ["ingest", "--input", "activity.csv", "--users", "2", "--categories", "2",
              "--output", "activity.csv"],
             ("--input", "--output"), id="ingest",
+        ),
+        pytest.param(
+            ["ingest", "--input", "activity.csv", "--users", "2", "--categories", "2",
+             "--output", "activity-hard.csv"],
+            ("--input", "--output"), id="ingest-hard-link",
         ),
         pytest.param(
             ["limits", "--trace", "trace.csv", "--output", "link.csv"],
@@ -525,6 +564,11 @@ class TestPathClash:
             ["simulate", "--trace", "trace.csv", "--mesh", "--policy", "smo", "--focal", "0",
              "--metrics", "out.csv", "--summary", "out.csv"],
             ("--metrics", "--summary"), id="simulate-outputs",
+        ),
+        pytest.param(
+            ["simulate", "--trace", "trace.csv", "--mesh", "--policy", "smo", "--focal", "0",
+             "--metrics", "metrics.csv", "--summary", "metrics-hard.csv"],
+            ("--metrics", "--summary"), id="simulate-outputs-hard-link",
         ),
         pytest.param(
             ["report", "--metrics", "metrics.csv", "--nodes", "0", "--output", "metrics.csv"],

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oppknow import SampleTable, parse_activity_csv, read_sample_table, traces, write_sample_table
-from oppknow.errors import OutOfRange, ParseError
+from oppknow.errors import DuplicateObservation, OutOfRange, ParseError
 from oppknow.traces import (
     ACTIVITY_HEADER,
     _parse_activity_lines,
@@ -31,7 +31,11 @@ MUTATIONS = (
     None, "space", "plus", "underscore", "minus", "empty-line", "double-comma",
     "cr", "extra-field", "letter", "huge", "out-of-range", "no-final-newline",
 )
-ACTIVITY_MUTATIONS = MUTATIONS + ("user-out-of-range", "duplicate")
+# Activity bodies are drawn in stamp order, as logs are written; "swap",
+# "reverse" and "shuffle" break that order.
+ACTIVITY_MUTATIONS = MUTATIONS + (
+    "user-out-of-range", "duplicate", "swap", "reverse", "shuffle",
+)
 TRACE_MUTATIONS = MUTATIONS + ("row-count",)
 
 
@@ -96,9 +100,19 @@ def activity_inputs(draw):
     observed = draw(
         st.dictionaries(st.tuples(stamps, st.integers(0, m - 1)), st.integers(0, v - 1), max_size=12)
     )
-    order = draw(st.permutations(sorted(observed)))
-    lines = [ACTIVITY_HEADER] + [f"{t},{u},{observed[t, u]}" for t, u in order]
+    # Users within a stamp come in any order.
+    order = sorted(draw(st.permutations(sorted(observed))), key=lambda key: key[0])
     mutation = draw(st.sampled_from(ACTIVITY_MUTATIONS))
+    if mutation == "swap":
+        pairs = [(i, j) for i, a in enumerate(order) for j, b in enumerate(order) if a[0] < b[0]]
+        if pairs:
+            i, j = draw(st.sampled_from(pairs))
+            order[i], order[j] = order[j], order[i]
+    elif mutation == "reverse":
+        order.reverse()
+    elif mutation == "shuffle":
+        order = draw(st.permutations(order))
+    lines = [ACTIVITY_HEADER] + [f"{t},{u},{observed[t, u]}" for t, u in order]
     if mutation == "user-out-of-range" and len(lines) > 1:
         i = draw(st.integers(1, len(lines) - 1))
         t, _, c = lines[i].split(",")
@@ -131,13 +145,19 @@ def workdir(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(activity_inputs())
 @example((1, 2, ACTIVITY_HEADER + "\n0,0,1"))
+@example((2, 2, ACTIVITY_HEADER + "\n1,0,1\n0,1,0\n1,1,1\n0,0,0\n"))
 @example((1, 2, ACTIVITY_HEADER + "\n\n"))
 @example((1, 2, ACTIVITY_HEADER + "\n\n0,0,1\n"))
 @example((-1, 2, ACTIVITY_HEADER + "\n"))
 @example((2, 0, ACTIVITY_HEADER + "\n"))
 def test_activity_reader_matches_per_line_loop(workdir, case):
     m, v, text = case
-    path = workdir / "activity.csv"
+    assert_activity_matches_loop(workdir / "activity.csv", text, m, v)
+
+
+def assert_activity_matches_loop(path, text, m, v):
+    """``parse_activity_csv`` of ``text``, as a string and as the file
+    ``path``, gives the per-line loop's outcome under both policies."""
     path.write_bytes(text.encode("utf-8"))
     for policy in ("drop-row", "idle-category"):
         expected = outcome(lambda: _parse_activity_lines(text.splitlines(), m, v, policy))
@@ -229,6 +249,66 @@ def test_lines_straddling_chunks(tmp_path, monkeypatch, chunk_chars, end):
     assert fast == loop
 
 
+def activity_text(observations):
+    return ACTIVITY_HEADER + "\n" + "".join("%d,%d,%d\n" % obs for obs in observations)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 30])
+def test_stamp_spanning_chunks(tmp_path, monkeypatch, chunk_chars):
+    # Each stamp's six lines fill several chunks, so a row stays open across
+    # chunk boundaries; stamp 9 lacks user 2.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", chunk_chars)
+    observations = [
+        (t, u, (t * u) % 4) for t in (0, 3, 9, 12) for u in (5, 0, 1, 2, 3, 4) if (t, u) != (9, 2)
+    ]
+    text = activity_text(observations)
+    for policy in ("drop-row", "idle-category"):
+        fast, loop = array_and_loop(text, 6, 4, policy)
+        assert fast is not None and fast == loop
+    assert_activity_matches_loop(tmp_path / "a.csv", text, 6, 4)
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 7, 1 << 16])
+def test_duplicate_split_across_chunks(tmp_path, monkeypatch, chunk_chars):
+    # The second (5, 0) arrives in a later chunk than the first, except
+    # with one chunk for the whole body.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", chunk_chars)
+    text = activity_text([(5, 0, 1), (5, 1, 0), (5, 0, 2), (6, 0, 1), (6, 1, 1)])
+    for policy in ("drop-row", "idle-category"):
+        fast, loop = array_and_loop(text, 2, 3, policy)
+        assert fast is None
+        assert loop[0] is DuplicateObservation and "line 4:" in loop[1]
+    assert_activity_matches_loop(tmp_path / "a.csv", text, 2, 3)
+
+
+@pytest.mark.parametrize("mutation", ["moved", "moved-duplicate"])
+def test_stamp_going_back_in_a_late_chunk(tmp_path, monkeypatch, mutation):
+    # Only the last chunk holds a stamp below its predecessor's, so the
+    # in-order path has closed rows before the column path takes over.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", 16)
+    observations = [(t, u, (t + u) % 3) for t in range(0, 200, 10) for u in range(3)]
+    if mutation == "moved":
+        observations.append(observations.pop(13))
+    else:
+        observations.append((40, 1, 0))
+    text = activity_text(observations)
+    column_path, columns = traces._parse_activity_columns, []
+
+    def spy(*args):
+        columns.append(column_path(*args))
+        return columns[-1]
+
+    monkeypatch.setattr(traces, "_parse_activity_columns", spy)
+    for policy in ("drop-row", "idle-category"):
+        fast, loop = array_and_loop(text, 3, 3, policy)
+        if mutation == "moved":
+            assert fast is not None and fast == loop
+        else:
+            assert fast is None and loop[0] is DuplicateObservation
+    assert len(columns) == 2
+    assert_activity_matches_loop(tmp_path / "a.csv", text, 3, 3)
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
 def test_blank_line_in_one_column_trace(tmp_path, monkeypatch, chunk_chars):
     # np.fromstring reads whitespace-only text as [0], so a blank line (or a
@@ -277,31 +357,70 @@ def test_leading_comma_goes_to_the_loop(tmp_path):
         assert loop[0] is ParseError
 
 
-# Peak traced allocations of a parse, as a multiple of the file's size. At
-# M=50 and 24 categories the chunk reader peaks at 2.2x (50k lines) and
-# 2.0x (200k lines); np.loadtxt, which it replaced, peaked at 3.5x and 3.2x,
-# and the per-line loop at 6.0x and 5.5x.
-PARSE_PEAK_PER_FILE_BYTE = 2.5
-
-
-@pytest.mark.parametrize("timestamps", [1_000, 4_000])
-def test_parse_memory_bounded_by_file_size(tmp_path, timestamps):
-    users = 50
-    categories = np.random.default_rng(timestamps).integers(0, 24, size=(timestamps, users))
-    path = tmp_path / "activity.csv"
+def write_activity(path, timestamps, order="in-order"):
+    """An activity CSV of 50 users x ``timestamps`` observations over 24
+    categories, in stamp order or shuffled; returns the categories."""
+    categories = np.random.default_rng(timestamps).integers(0, 24, size=(timestamps, 50))
+    lines = (f"{t},{u},{c}\n" for t, row in enumerate(categories.tolist()) for u, c in enumerate(row))
+    if order == "shuffled":
+        lines = list(lines)
+        np.random.default_rng(0).shuffle(lines)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(ACTIVITY_HEADER + "\n")
-        for t, row in enumerate(categories.tolist()):
-            fh.write("".join(f"{t},{u},{c}\n" for u, c in enumerate(row)))
+        fh.writelines(lines)
+    return categories
+
+
+def traced_parse(path, policy="drop-row"):
+    """The table parsed from the file ``path`` and the parse's traced peak."""
     tracemalloc.start()
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
-            table = parse_activity_csv(fh, users, 24)
-        peak = tracemalloc.get_traced_memory()[1]
+            table = parse_activity_csv(fh, 50, 24, policy)
+        return table, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Peak traced allocations of a parse, as a multiple of the file's size. At
+# M=50 and 24 categories the column path, which shuffled logs take, peaks at
+# 2.2x (50k lines) and 2.0x (200k lines); np.loadtxt, which it replaced,
+# peaked at 3.5x and 3.2x, and the per-line loop at 6.0x and 5.5x.
+PARSE_PEAK_PER_FILE_BYTE = 2.5
+
+
+@pytest.mark.parametrize("order", ["in-order", "shuffled"])
+@pytest.mark.parametrize("timestamps", [1_000, 4_000])
+def test_parse_memory_bounded_by_file_size(tmp_path, timestamps, order):
+    path = tmp_path / "activity.csv"
+    categories = write_activity(path, timestamps, order)
+    table, peak = traced_parse(path)
     assert np.array_equal(table.samples, categories)
     assert peak < PARSE_PEAK_PER_FILE_BYTE * path.stat().st_size
+
+
+# Peak traced allocations of parsing an in-order log: the table so far
+# (at most an eighth to spare) plus the per-chunk copies of the text and its
+# int64 values. At M=50 and 24 categories the peak is 1.57x the 1 MB table
+# at 20k timestamps, and the table + 8 bytes per chunk character at 1k;
+# joining the rows at the end, which would hold the table twice, peaks at
+# 2.03x, and the column path at 19 MB on that table.
+IN_ORDER_PEAK_PER_TABLE_BYTE = 1.25
+IN_ORDER_PEAK_PER_CHUNK_CHAR = 10
+
+
+@pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
+@pytest.mark.parametrize("timestamps", [1_000, 20_000])
+def test_in_order_parse_memory_bounded_by_table_size(tmp_path, timestamps, policy):
+    path = tmp_path / "activity.csv"
+    categories = write_activity(path, timestamps)
+    table, peak = traced_parse(path, policy)
+    shift = policy == "idle-category"
+    assert np.array_equal(table.samples, categories + shift)
+    assert peak < (
+        IN_ORDER_PEAK_PER_TABLE_BYTE * table.samples.nbytes
+        + IN_ORDER_PEAK_PER_CHUNK_CHAR * traces._CHUNK_CHARS
+    )
 
 
 # Peak traced allocations of reading a trace file: the table, plus the
@@ -327,3 +446,29 @@ def test_read_memory_bounded_by_table_size(tmp_path, timestamps):
     assert read == table
     nbytes = read.samples.nbytes
     assert peak < READ_PEAK_PER_TABLE_BYTE * nbytes + READ_PEAK_PER_CHUNK_CHAR * traces._CHUNK_CHARS
+
+
+# Peak traced allocations of writing a trace file: the sorted copy of the
+# table that finds the ids present, or one block's index array and strings.
+# At M=50 and 24 categories the block takes 27 bytes per cell (0.44 MB), and
+# the sorted copy and its mask 2x the table.
+WRITE_PEAK_PER_TABLE_BYTE = 2.5
+WRITE_PEAK_PER_BLOCK_CELL = 40
+
+
+@pytest.mark.parametrize("timestamps", [1_000, 20_000])
+def test_write_memory_bounded_by_table_size(tmp_path, timestamps):
+    categories = np.random.default_rng(timestamps).integers(0, 24, size=(timestamps, 50))
+    table = SampleTable(50, 24, categories)
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_sample_table(table, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_sample_table(path) == table
+    assert peak < (
+        WRITE_PEAK_PER_TABLE_BYTE * table.samples.nbytes
+        + WRITE_PEAK_PER_BLOCK_CELL * traces._WRITE_BLOCK_CELLS
+    )
