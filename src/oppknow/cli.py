@@ -176,8 +176,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_limits(args: argparse.Namespace) -> int:
-    table = read_sample_table(args.trace)
-    dist = JointDistribution.from_samples(table)
+    dist = JointDistribution.from_samples(read_sample_table(args.trace))
     joint = dist.subset_entropy(dist.all_variables())
     print(f"joint_h_bits={_fmt(joint)}")
 

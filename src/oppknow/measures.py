@@ -197,17 +197,40 @@ class JointDistribution:
         if not table.row_count:
             raise EmptyInput("sample table has no rows")
         # The table's ids are valid. Its rows sorted as tuples sort give the
-        # canonical atom order (np.lexsort takes its primary key last), and
-        # each row that differs from the one before starts an atom.
+        # canonical atom order (np.lexsort takes its primary key last). The
+        # sorted columns are gathered one at a time into one flat buffer, so
+        # the table is held once more, never as a sorted row copy.
         samples = table.samples
-        rows = samples[np.lexsort(samples.T[::-1])]
-        first = np.ones(len(rows), dtype=bool)
-        np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+        rows, users = samples.shape
+        order = np.lexsort(samples.T[::-1])
+        flat = np.empty(users * rows, dtype=samples.dtype)
+        for j in range(users):
+            np.take(samples[:, j], order, out=flat[j * rows : (j + 1) * rows])
+        del order
+        # Each row that differs from the one before starts an atom; one
+        # column's comparison is live at a time.
+        first = np.zeros(rows, dtype=bool)
+        first[0] = True
+        for j in range(users):
+            first[1:] |= flat[j * rows + 1 : (j + 1) * rows] != flat[j * rows : (j + 1) * rows - 1]
         starts = np.flatnonzero(first)
+        del first
+        atoms = starts.size
+        if atoms < rows:
+            # Column j's atoms move to flat[j * atoms : (j + 1) * atoms]:
+            # below column j + 1, which is still unread, so the buffer is
+            # compacted in place and then shrunk.
+            for j in range(users):
+                flat[j * atoms : (j + 1) * atoms] = flat[j * rows : (j + 1) * rows][starts]
+            try:
+                flat.resize(users * atoms)
+            except ValueError:  # some other reference to the buffer is alive
+                flat = flat[: users * atoms].copy()
         dist = cls.__new__(cls)
         dist.user_count = table.user_count
         dist.category_count = table.category_count
-        dist._store(rows[starts], np.diff(starts, append=len(rows)))
+        # The (users, atoms) columns, transposed, so _store copies nothing.
+        dist._store(flat.reshape(users, atoms).T, np.diff(starts, append=rows))
         return dist
 
     @cached_property

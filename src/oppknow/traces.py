@@ -69,7 +69,10 @@ _SEPARATORS_TO_SPACES = bytes.maketrans(b",\n", b"  ")
 # strtoll saturates at this value instead of failing, so the reader leaves
 # any field that parses to it to the per-line loop.
 _INT64_MAX = (1 << 63) - 1
-# Cells per block of a trace file write: bounds the block's string objects.
+# Cells per block of rows that a trace file write turns into text, and the
+# widest alphabet whose text it makes once: bounds the write's string objects
+# by the block, not the table. An in-order activity parse fills at most this
+# many cells' worth of new rows at a time.
 _WRITE_BLOCK_CELLS = 1 << 14
 
 
@@ -319,13 +322,14 @@ def _parse_activity_in_order(
     # Table rows straight from a body whose stamps never go down, so that
     # memory follows the table and one chunk, not the log. A cell holds its
     # category + 1, so 0 marks a user not observed. A chunk's stamps are
-    # ranked by a change mask and its observations scattered into a block of
-    # rows, the first of them the row that the previous chunk left open;
-    # every row of the block but the last is then closed: appended to one
+    # ranked by a change mask and its observations scattered into blocks of
+    # rows, the first of them the row that the previous block left open;
+    # every row of a block but the last is then closed: appended to one
     # bytearray, which realloc grows with at most an eighth to spare, so the
     # table is never held twice.
     drop = missing_policy == "drop-row"
     dtype = category_dtype(category_count + 1)
+    step = max(1, _WRITE_BLOCK_CELLS // user_count)
     kept = bytearray()
     open_row = last = None
     stamps = filled = lines = 0
@@ -355,18 +359,28 @@ def _parse_activity_in_order(
             _check_cells(stamps + height, user_count)
         except MemoryError:
             raise _ColumnsNeeded from None
-        block = np.zeros((height, user_count), dtype=dtype)
-        if open_row is not None:
-            block[0] = open_row
         rows[:, 2] += 1
-        block[rank, rows[:, 1]] = rows[:, 2]
         lines += len(rows)
         last = t[-1]
-        del rows, t, rank
-        open_row = block[-1].copy()
-        if height > 1:
-            close(block[:-1])
-            stamps += height - 1
+        # The ranks are filled a slice of at most ``step`` new rows at a
+        # time, so that a sparse chunk of many stamps holds one slice's
+        # block and not a row per stamp.
+        base = lo = 0
+        while True:
+            top = min(base + step, height - 1)
+            hi = int(np.searchsorted(rank, top, "right"))
+            block = np.zeros((top - base + 1, user_count), dtype=dtype)
+            if open_row is not None:
+                block[0] = open_row
+            block[rank[lo:hi] - base, rows[lo:hi, 1]] = rows[lo:hi, 2]
+            open_row = block[-1].copy()
+            if top > base:
+                close(block[:-1])
+            if top == height - 1:
+                break
+            base, lo = top, hi
+        stamps += height - 1
+        del rows, t, rank, block
     if open_row is not None:
         close(open_row[None])
     # Every observation fills one cell, so fewer filled cells than lines
@@ -551,18 +565,30 @@ def inject_unique_tips(table: SampleTable) -> SampleTable:
 # category ids, LF line endings.
 
 
+def _names(ids: np.ndarray) -> np.ndarray:
+    # The decimal text of each id, as an object array.
+    return np.array([str(c) for c in ids.tolist()], dtype=object)
+
+
 def write_sample_table(table: SampleTable, path: str | os.PathLike) -> None:
     samples = table.samples
-    # The text of each id present, looked up block by block of rows, so
-    # memory follows the cells and not the largest id.
-    present = _distinct(samples)
-    names = np.array([str(c) for c in present.tolist()], dtype=object)
+    # Ids index the text of the whole alphabet when it has no more ids than
+    # a block has cells. A wider alphabet's text is made for the ids present
+    # in each block. Either way memory follows the block, not the table or
+    # the largest id.
+    v = table.category_count
+    names = _names(np.arange(v)) if v <= _WRITE_BLOCK_CELLS else None
     block = max(1, _WRITE_BLOCK_CELLS // table.user_count)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"{table.user_count},{table.category_count},{table.row_count}\n")
+        fh.write(f"{table.user_count},{v},{table.row_count}\n")
         for start in range(0, table.row_count, block):
-            rows = names[np.searchsorted(present, samples[start : start + block])].tolist()
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+            rows = samples[start : start + block]
+            if names is None:
+                present = _distinct(rows)
+                text = _names(present)[np.searchsorted(present, rows)]
+            else:
+                text = names[rows]
+            fh.write("\n".join(map(",".join, text.tolist())) + "\n")
 
 
 def read_sample_table(path: str | os.PathLike) -> SampleTable:

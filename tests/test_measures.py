@@ -1,5 +1,9 @@
 """Unit tests for the sparse information measures."""
 
+import collections
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from oppknow import JointDistribution, SampleTable, SynthConfig, nonnegative_bits, synthesize_traces
@@ -62,6 +66,35 @@ class TestFromSamples:
             JointDistribution(1, 2**64, {(2**63 + 5,): 1})
         dist = JointDistribution(1, 2**63, {(2**63 - 1,): 1, (0,): 3})
         assert dist.atoms == {(0,): 3, (2**63 - 1,): 1}
+
+    @pytest.mark.parametrize("rows", ["distinct", "ten-copies", "one-repeat"])
+    def test_peak_memory_bounded_by_table_size(self, rows):
+        # 20,000 rows of 50 users over 24 categories (a 1 MB table): all
+        # distinct, 2,000 rows ten times each, or all distinct but one row
+        # repeated once. Sorting the rows into a copy held 3.5x the table;
+        # gathering the sorted columns and then copying the atoms out held
+        # 3.5x when nearly every row is an atom. The sorted columns are held
+        # once, beside the sort order and the atoms' starts and weights.
+        rng = np.random.default_rng(18)
+        if rows == "ten-copies":
+            samples = rng.integers(0, 24, size=(2_000, 50))[rng.integers(0, 2_000, 20_000)]
+        else:
+            samples = rng.integers(0, 24, size=(20_000, 50))
+            if rows == "one-repeat":
+                samples[-1] = samples[0]
+        table = SampleTable(50, 24, samples)
+        tracemalloc.start()
+        try:
+            dist = JointDistribution.from_samples(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table.samples.nbytes + 8 * table.row_count
+        expected = collections.Counter(map(tuple, samples.tolist()))
+        assert dist.atoms == dict(sorted(expected.items()))
+        assert list(dist.atoms) == sorted(expected)
+        assert dist._columns.flags.c_contiguous
+        assert dist._columns.dtype == table.samples.dtype
 
 
 class TestSubsetEntropy:

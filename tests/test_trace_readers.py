@@ -371,12 +371,24 @@ def write_activity(path, timestamps, order="in-order"):
     return categories
 
 
-def traced_parse(path, policy="drop-row"):
+def write_sparse_activity(path, timestamps, users):
+    """An activity CSV with one observation per stamp, user ``t % users`` at
+    stamp ``t``, over 24 categories; returns its ``idle-category`` table."""
+    categories = np.random.default_rng(timestamps).integers(0, 24, size=timestamps)
+    grid = np.zeros((timestamps, users), dtype=np.uint8)
+    grid[np.arange(timestamps), np.arange(timestamps) % users] = categories + 1
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(ACTIVITY_HEADER + "\n")
+        fh.writelines(f"{t},{t % users},{c}\n" for t, c in enumerate(categories.tolist()))
+    return grid
+
+
+def traced_parse(path, policy="drop-row", users=50):
     """The table parsed from the file ``path`` and the parse's traced peak."""
     tracemalloc.start()
     try:
         with open(path, "r", encoding="ascii", newline="") as fh:
-            table = parse_activity_csv(fh, 50, 24, policy)
+            table = parse_activity_csv(fh, users, 24, policy)
         return table, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -404,19 +416,34 @@ def test_parse_memory_bounded_by_file_size(tmp_path, timestamps, order):
 # int64 values. At M=50 and 24 categories the peak is 1.57x the 1 MB table
 # at 20k timestamps, and the table + 8 bytes per chunk character at 1k;
 # joining the rows at the end, which would hold the table twice, peaks at
-# 2.03x, and the column path at 19 MB on that table.
+# 2.03x, and the column path at 19 MB on that table. The sparse log is one
+# 34K-character chunk of 3,000 stamps of 2,000 users: a block of rows for
+# every stamp in the chunk held a second 6 MB table (12.9 MB in all, the
+# table 6.8 MB when rows are filled a block of cells at a time).
 IN_ORDER_PEAK_PER_TABLE_BYTE = 1.25
 IN_ORDER_PEAK_PER_CHUNK_CHAR = 10
 
 
 @pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
-@pytest.mark.parametrize("timestamps", [1_000, 20_000])
-def test_in_order_parse_memory_bounded_by_table_size(tmp_path, timestamps, policy):
+@pytest.mark.parametrize(
+    "timestamps, users",
+    [
+        pytest.param(1_000, 50, id="1000"),
+        pytest.param(20_000, 50, id="20000"),
+        pytest.param(3_000, 2_000, id="sparse-3000x2000"),
+    ],
+)
+def test_in_order_parse_memory_bounded_by_table_size(tmp_path, timestamps, users, policy):
     path = tmp_path / "activity.csv"
-    categories = write_activity(path, timestamps)
-    table, peak = traced_parse(path, policy)
-    shift = policy == "idle-category"
-    assert np.array_equal(table.samples, categories + shift)
+    if users == 50:
+        categories = write_activity(path, timestamps)
+        expected = categories + (policy == "idle-category")
+    else:
+        expected = write_sparse_activity(path, timestamps, users)
+        if policy == "drop-row":
+            expected = expected[expected.all(axis=1)]
+    table, peak = traced_parse(path, policy, users)
+    assert np.array_equal(table.samples, expected)
     assert peak < (
         IN_ORDER_PEAK_PER_TABLE_BYTE * table.samples.nbytes
         + IN_ORDER_PEAK_PER_CHUNK_CHAR * traces._CHUNK_CHARS
@@ -448,11 +475,12 @@ def test_read_memory_bounded_by_table_size(tmp_path, timestamps):
     assert peak < READ_PEAK_PER_TABLE_BYTE * nbytes + READ_PEAK_PER_CHUNK_CHAR * traces._CHUNK_CHARS
 
 
-# Peak traced allocations of writing a trace file: the sorted copy of the
-# table that finds the ids present, or one block's index array and strings.
-# At M=50 and 24 categories the block takes 27 bytes per cell (0.44 MB), and
-# the sorted copy and its mask 2x the table.
-WRITE_PEAK_PER_TABLE_BYTE = 2.5
+# Peak traced allocations of writing a trace file: one block's strings and
+# the text of its ids, made a block at a time. At M=50 and 24 categories the
+# block takes 27 bytes per cell (0.44 MB); finding the ids present with a
+# sorted copy of the whole table, as the writer once did, held 2x the table
+# on top (2.0 MB at 20k timestamps).
+WRITE_PEAK_PER_TABLE_BYTE = 0.25
 WRITE_PEAK_PER_BLOCK_CELL = 40
 
 

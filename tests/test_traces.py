@@ -12,6 +12,7 @@ from oppknow import (
     profile_vector,
     read_sample_table,
     synthesize_traces,
+    traces,
     write_sample_table,
 )
 from oppknow.errors import (
@@ -304,6 +305,22 @@ class TestSampleTableFiles:
         assert back == table and back.samples.dtype == np.uint16
         write_sample_table(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_alphabet_at_the_name_table_bound_round_trips(self, tmp_path, extra):
+        # An alphabet of _WRITE_BLOCK_CELLS ids is named once; one id more
+        # is named block by block. 2,000 rows of 20 users span three blocks.
+        v = traces._WRITE_BLOCK_CELLS + extra
+        samples = np.random.default_rng(extra).integers(0, v, size=(2_000, 20))
+        samples[0, 0] = v - 1
+        table = SampleTable(20, v, samples)
+        path = tmp_path / "trace.csv"
+        write_sample_table(table, path)
+        expected = f"20,{v},2000\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in samples.tolist()
+        )
+        assert path.read_text() == expected
+        assert read_sample_table(path) == table
 
     def test_sparse_ids_are_named_without_the_id_range(self, tmp_path):
         # Only the four ids present are named; naming range(3_000_001)
