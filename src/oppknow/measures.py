@@ -20,10 +20,13 @@ atoms that still share a block. Partitions with more than half the atoms
 still sharing are not cached, and the cache holds at most as many bytes as the
 outcome columns, evicting the least recently used partition first.
 
-The distribution keeps its atoms as arrays: one column per variable in the
-smallest integer dtype that holds every category, and the atom weights. The
-``atoms`` mapping of outcome tuples to weights is built from them the first
-time it is read; no query needs it.
+The distribution keeps its atoms as arrays: one ``(users, atoms)`` array in
+the smallest integer dtype that holds every category, each row the column of
+one variable, and the atom weights. ``from_samples`` gathers that array from
+the table's sorted columns into one buffer, which it compacts in place when
+rows repeat, so no row-major copy of the table is made. The ``atoms`` mapping
+of outcome tuples to weights is built from them the first time it is read;
+no query needs it.
 
 A variable subset has one key everywhere: the Python int bit mask with bit
 ``i`` set for each member ``i``. Ids are converted with ``int()`` and
@@ -68,6 +71,11 @@ from .traces import SampleTable, category_dtype
 
 #: Negative results larger than this magnitude are treated as real bugs.
 ROUND_OFF_TOLERANCE = 1e-12
+
+# Cells per block of sorted columns that from_samples gathers, compares and
+# compacts at a time: bounds its temporaries, and keeps the Python loop short
+# on tables of many users and few rows.
+_BLOCK_CELLS = 1 << 16
 
 
 def nonnegative_bits(value: float) -> float:
@@ -192,36 +200,41 @@ class JointDistribution:
         """Estimate the joint PMF of a sample table by row multiplicity.
 
         Each distinct row becomes one atom weighted by its occurrence count;
-        ``total_weight`` equals the number of rows.
+        ``total_weight`` equals the number of rows. Besides the table, the
+        estimate holds the sorted table once, as the atoms' columns, plus
+        about 24 bytes per row for the sort order, the atom starts and the
+        weights: 1.5x a table of 50 one-byte ids per row.
         """
         if not table.row_count:
             raise EmptyInput("sample table has no rows")
         # The table's ids are valid. Its rows sorted as tuples sort give the
         # canonical atom order (np.lexsort takes its primary key last). The
-        # sorted columns are gathered one at a time into one flat buffer, so
-        # the table is held once more, never as a sorted row copy.
+        # sorted columns go into one flat buffer, column j at
+        # flat[j * rows : (j + 1) * rows], a block of columns at a time, so
+        # the table is held once more and never as a sorted row copy. A row
+        # that differs from the one before in some column starts an atom.
         samples = table.samples
         rows, users = samples.shape
         order = np.lexsort(samples.T[::-1])
+        width = max(1, _BLOCK_CELLS // rows)
         flat = np.empty(users * rows, dtype=samples.dtype)
-        for j in range(users):
-            np.take(samples[:, j], order, out=flat[j * rows : (j + 1) * rows])
-        del order
-        # Each row that differs from the one before starts an atom; one
-        # column's comparison is live at a time.
         first = np.zeros(rows, dtype=bool)
         first[0] = True
-        for j in range(users):
-            first[1:] |= flat[j * rows + 1 : (j + 1) * rows] != flat[j * rows : (j + 1) * rows - 1]
+        for j in range(0, users, width):
+            block = flat[j * rows : (j + width) * rows].reshape(-1, rows)
+            np.take(samples.T[j : j + width], order, axis=1, out=block)
+            first[1:] |= (block[:, 1:] != block[:, :-1]).any(axis=0)
+        del order, block
         starts = np.flatnonzero(first)
         del first
         atoms = starts.size
         if atoms < rows:
-            # Column j's atoms move to flat[j * atoms : (j + 1) * atoms]:
-            # below column j + 1, which is still unread, so the buffer is
-            # compacted in place and then shrunk.
-            for j in range(users):
-                flat[j * atoms : (j + 1) * atoms] = flat[j * rows : (j + 1) * rows][starts]
+            # A block's atoms move to flat[j * atoms :], below the next
+            # block, which is still unread, so the buffer is compacted in
+            # place and then shrunk.
+            for j in range(0, users, width):
+                kept = flat[j * rows : (j + width) * rows].reshape(-1, rows)[:, starts]
+                flat[j * atoms : j * atoms + kept.size] = kept.ravel()
             try:
                 flat.resize(users * atoms)
             except ValueError:  # some other reference to the buffer is alive

@@ -14,12 +14,12 @@ characters at a time. A trace file's chunks fill its ``(T, M)`` table,
 allocated once at the size its header gives. An activity CSV whose stamps
 never go down, the order in which logs are written, becomes table rows chunk
 by chunk: each chunk's observations are scattered into the rows of its
-stamps, and its last row stays open for the next chunk, so memory follows
-the table and not the log. A stamp that goes backwards sends the reader back
-to the first observation and down a column path, which holds every
-observation's stamp, user and category in arrays sized by a pass that counts
-the lines: no row of an out-of-order log is complete before its last line.
-A chunk is parsed (by ``np.fromstring``) only if every line in it is the
+stamps, a block of rows at a time, and its last row stays open for the next
+chunk, so memory follows the table and not the log. A stamp that goes
+backwards sends the reader back to the first observation and down a column
+path, which holds every observation's stamp, user and category in arrays
+sized by a pass that counts the lines: no row of an out-of-order log is
+complete before its last line. A chunk is parsed (by ``np.fromstring``) only if every line in it is the
 expected number of nonempty runs of ASCII digits split by commas, and ranges
 and duplicates are then checked as arrays. Input that any of these steps
 rejects (a bad field, a sign, a CR, a blank line, a value of 2**63 - 1 or
@@ -374,8 +374,7 @@ def _parse_activity_in_order(
                 block[0] = open_row
             block[rank[lo:hi] - base, rows[lo:hi, 1]] = rows[lo:hi, 2]
             open_row = block[-1].copy()
-            if top > base:
-                close(block[:-1])
+            close(block[:-1])
             if top == height - 1:
                 break
             base, lo = top, hi

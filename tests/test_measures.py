@@ -1,6 +1,7 @@
 """Unit tests for the sparse information measures."""
 
 import collections
+import sys
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,29 @@ class TestFromSamples:
         dist = JointDistribution(1, 2**63, {(2**63 - 1,): 1, (0,): 3})
         assert dist.atoms == {(0,): 3, (2**63 - 1,): 1}
 
+    def test_repeated_rows_under_a_tracer_that_reads_locals(self):
+        # A debugger's snapshot of the frame's locals holds the buffer that
+        # the atoms are compacted in, so it cannot be shrunk in place; the
+        # atoms are copied out of it instead.
+        code = JointDistribution.from_samples.__func__.__code__
+
+        def tracer(frame, event, arg):
+            def local(frame, event, arg):
+                frame.f_locals
+                return local
+
+            return local if frame.f_code is code else None
+
+        table = SampleTable(2, 3, ((0, 1), (2, 0), (0, 1)))
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            dist = JointDistribution.from_samples(table)
+        finally:
+            sys.settrace(previous)
+        assert dist.atoms == {(0, 1): 2, (2, 0): 1}
+        assert dist._columns.flags.c_contiguous
+
     @pytest.mark.parametrize("rows", ["distinct", "ten-copies", "one-repeat"])
     def test_peak_memory_bounded_by_table_size(self, rows):
         # 20,000 rows of 50 users over 24 categories (a 1 MB table): all
@@ -74,7 +98,9 @@ class TestFromSamples:
         # repeated once. Sorting the rows into a copy held 3.5x the table;
         # gathering the sorted columns and then copying the atoms out held
         # 3.5x when nearly every row is an atom. The sorted columns are held
-        # once, beside the sort order and the atoms' starts and weights.
+        # once, beside the sort order and the atoms' starts and weights, and
+        # the distribution keeps only its atoms' columns and two weight
+        # arrays, not the buffer the columns were sorted into.
         rng = np.random.default_rng(18)
         if rows == "ten-copies":
             samples = rng.integers(0, 24, size=(2_000, 50))[rng.integers(0, 2_000, 20_000)]
@@ -86,10 +112,11 @@ class TestFromSamples:
         tracemalloc.start()
         try:
             dist = JointDistribution.from_samples(table)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * table.samples.nbytes + 8 * table.row_count
+        assert held < (50 + 16) * len(dist.atoms) + (1 << 14)
         expected = collections.Counter(map(tuple, samples.tolist()))
         assert dist.atoms == dict(sorted(expected.items()))
         assert list(dist.atoms) == sorted(expected)

@@ -281,6 +281,24 @@ def test_duplicate_split_across_chunks(tmp_path, monkeypatch, chunk_chars):
     assert_activity_matches_loop(tmp_path / "a.csv", text, 2, 3)
 
 
+@pytest.mark.parametrize("block_cells", [1, 4, 9])
+def test_rows_filled_a_few_at_a_time(tmp_path, monkeypatch, block_cells):
+    # Blocks of one to three new rows of 3 users: one chunk's 40 stamps span
+    # many blocks, each starting from the row the one before left open.
+    monkeypatch.setattr(traces, "_WRITE_BLOCK_CELLS", block_cells)
+    observations = [(t, u, (t + u) % 4) for t in range(0, 80, 2) for u in range(3) if (t + u) % 5]
+    text = activity_text(observations)
+    for policy in ("drop-row", "idle-category"):
+        fast, loop = array_and_loop(text, 3, 4, policy)
+        assert fast is not None and fast == loop
+    assert_activity_matches_loop(tmp_path / "a.csv", text, 3, 4)
+    # A repeated observation, still in stamp order, falls to the loop.
+    text = activity_text(observations[:40] + observations[39:])
+    for policy in ("drop-row", "idle-category"):
+        fast, loop = array_and_loop(text, 3, 4, policy)
+        assert fast is None and loop[0] is DuplicateObservation
+
+
 @pytest.mark.parametrize("mutation", ["moved", "moved-duplicate"])
 def test_stamp_going_back_in_a_late_chunk(tmp_path, monkeypatch, mutation):
     # Only the last chunk holds a stamp below its predecessor's, so the
