@@ -19,13 +19,14 @@ chunk, so memory follows the table and not the log. A stamp that goes
 backwards sends the reader back to the first observation and down a column
 path, which holds every observation's stamp, user and category in arrays
 sized by a pass that counts the lines: no row of an out-of-order log is
-complete before its last line. A chunk is parsed (by ``np.fromstring``) only if every line in it is the
-expected number of nonempty runs of ASCII digits split by commas, and ranges
-and duplicates are then checked as arrays. Input that any of these steps
-rejects (a bad field, a sign, a CR, a blank line, a value of 2**63 - 1 or
-more, a duplicate, an out-of-range id) is read again by the per-line loop,
-which accepts the same lenient forms it always has and is the only place
-that builds error messages, with their line numbers.
+complete before its last line. A chunk is parsed (by ``np.fromstring``)
+only if every line in it is the expected number of nonempty runs of ASCII
+digits split by commas, and ranges and duplicates are then checked as
+arrays. Input that any of these steps rejects (a bad field, a sign, a CR, a
+blank line, a value of 2**63 - 1 or more, a duplicate, an out-of-range id)
+is read again by the per-line loop, which accepts the same lenient forms it
+always has and is the only place that builds error messages, with their
+line numbers.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so equal
 seeds give byte-identical tables on every platform.
@@ -362,9 +363,9 @@ def _parse_activity_in_order(
         rows[:, 2] += 1
         lines += len(rows)
         last = t[-1]
-        # The ranks are filled a slice of at most ``step`` new rows at a
-        # time, so that a sparse chunk of many stamps holds one slice's
-        # block and not a row per stamp.
+        # The ranks are filled a block of at most ``step`` new rows at a
+        # time, so that a sparse chunk of many stamps holds one block and
+        # not a row per stamp.
         base = lo = 0
         while True:
             top = min(base + step, height - 1)
