@@ -10,15 +10,21 @@ any floating-point work.
 One kernel computes those entropies, by partition refinement. The projections
 onto a variable subset S are the blocks of a partition of the atoms. The
 kernel refines the partition of the largest cached subset of S by the columns
-S adds, or, when no subset of S is cached, builds it from the columns. One
-``np.lexsort`` orders the atoms by their parent block and then by their
-values in those columns, and a new block starts wherever one of these keys
-changes; no key is packed, so any alphabet that fits int64 ids works. An
-atom alone in its block never splits again: it is settled, and only its
-``w * log2(w)`` term is kept. A cached partition therefore stores just the
-atoms that still share a block. Partitions with more than half the atoms
-still sharing are not cached, and the cache holds at most as many bytes as the
-outcome columns, evicting the least recently used partition first.
+S adds, or, when no subset of S is cached, builds it from the columns. An
+atom's new block is keyed by its parent block and then by its values in those
+columns, and blocks are numbered in key order. When the keys can take at most
+``max(2n, 4096)`` values for ``n`` atoms, each key is packed into one
+mixed-radix integer: one ``np.bincount`` counts each block's atoms and a
+second sums its weights, with no sort. Otherwise one ``np.lexsort`` orders
+the atoms by their unpacked keys, and a new block starts wherever one key
+changes. The sort stays for wide alphabets and for many columns, whose packed
+keys would overflow int64 or need far more counters than there are atoms; it
+works for any alphabet that fits int64 ids. An atom alone in its block never
+splits again: it is settled, and only its ``w * log2(w)`` term is kept. A
+cached partition therefore stores just the atoms that still share a block.
+Partitions with more than half the atoms still sharing are not cached, and
+the cache holds at most as many bytes as the outcome columns, evicting the
+least recently used partition first.
 
 The distribution keeps its atoms as arrays: one ``(users, atoms)`` array in
 the smallest integer dtype that holds every category, each row the column of
@@ -95,7 +101,12 @@ def nonnegative_bits(value: float) -> float:
 
 def _bits(mask: int) -> list[int]:
     """The members of a bit mask, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return members
 
 
 def _text(mask: int) -> str:
@@ -306,48 +317,75 @@ class JointDistribution:
         # of the empty set, when none is cached), then sum w*log2(w) over the
         # blocks in float64.
         parent_members, parent = self._cached_parent(members)
-        part = self._refine(parent, _bits(members & ~parent_members))
+        part, merged = self._refine(parent, _bits(members & ~parent_members))
         self._cache_partition(members, part)
-        merged = np.bincount(
-            part.labels, weights=self._weights[part.rows], minlength=part.blocks
-        )
         total = float(self.total_weight)
         return float(
             np.log2(total) - (part.settled + np.dot(merged, np.log2(merged))) / total
         )
 
-    def _refine(self, parent: _Partition | None, columns: Sequence[int]) -> _Partition:
-        # Sort the active atoms by their parent label, then by their values in
-        # ``columns``, as tuples sort. A block starts wherever one of these
-        # keys changes along that order. Atoms left alone in a block are
-        # settled.
+    def _refine(
+        self, parent: _Partition | None, columns: Sequence[int]
+    ) -> tuple[_Partition, np.ndarray]:
+        # Split the active atoms' blocks by their values in ``columns``, and
+        # return the new partition with its block weights. Blocks are
+        # numbered as their keys sort, parent label first and then the
+        # columns in order. Atoms left alone in a block are settled.
         if parent is None:
-            rows, settled, keys = None, 0.0, []
+            rows, labels, blocks, settled = None, None, 1, 0.0
+            weights = self._weights
         else:
-            # In the smallest dtype that holds them, labels below 2^16 are
-            # radix-sorted; int32 labels would take a comparison sort.
-            rows, settled = parent.rows, parent.settled
-            keys = [parent.labels.astype(category_dtype(parent.blocks))]
-        for column in columns:
-            values = self._columns[column]
-            keys.append(values if rows is None else values[rows])
-        order = np.lexsort(keys[::-1])
-        starts = np.zeros(order.size, dtype=bool)
-        starts[:1] = True
-        for key in keys:
-            ordered = key[order]
-            starts[1:] |= ordered[1:] != ordered[:-1]
-        sizes = np.diff(np.flatnonzero(starts), append=order.size)
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(starts) - 1
-        shared = sizes > 1
-        active = shared[inverse]
-        if rows is None:
-            rows = np.arange(self._weights.size, dtype=np.int32)
-        alone = self._weights[rows[~active]]
+            rows, labels, blocks, settled = parent
+            weights = self._weights[rows]
+        size = weights.size
+        values = [
+            self._columns[c] if rows is None else self._columns[c][rows] for c in columns
+        ]
+        v = self.category_count
+        if blocks * v ** len(values) <= self._count_limit(size):
+            # Few possible keys: each block is one cell of a mixed-radix key,
+            # and counting the cells finds the blocks without a sort.
+            key = np.zeros(size, np.intp) if labels is None else labels.astype(np.intp)
+            for column in values:
+                key *= v
+                key += column
+            shared = np.bincount(key) > 1
+            active = shared[key]
+            labels = (np.cumsum(shared, dtype=np.int32) - 1)[key[active]]
+            merged = np.bincount(key, weights=weights)[shared]
+        else:
+            # Sort the atoms by their keys as tuples sort; a block starts
+            # wherever one key changes along that order. In the smallest
+            # dtype that holds them, labels below 2^16 are radix-sorted;
+            # int32 labels would take a comparison sort.
+            keys = values if labels is None else [labels.astype(category_dtype(blocks)), *values]
+            order = np.lexsort(keys[::-1])
+            edge = np.zeros(size + 1, dtype=bool)
+            edge[0] = edge[size] = True
+            for key in keys:
+                ordered = key[order]
+                edge[1:size] |= ordered[1:] != ordered[:-1]
+            # Shared blocks are numbered from 1 at their first atom; an atom
+            # alone in its block gets 0, and its weight falls in bin 0. The
+            # sort is stable, so each block's weights add in row order, as
+            # they would in a bincount over the row-ordered labels.
+            number = np.cumsum(edge[:-1] > edge[1:], dtype=np.int32)
+            number *= ~(edge[:-1] & edge[1:])
+            merged = np.bincount(number, weights=weights[order])[1:]
+            scattered = np.empty(size, dtype=np.int32)
+            scattered[order] = number
+            active = scattered > 0
+            labels = scattered[np.flatnonzero(active)] - 1
+        # Over thousands of atoms, gathering by index beats a boolean mask.
+        alone = weights[np.flatnonzero(~active)]
         settled += float(np.dot(alone, np.log2(alone)))
-        labels = (np.cumsum(shared, dtype=np.int32) - 1)[inverse[active]]
-        return _Partition(rows[active], labels, int(shared.sum()), settled)
+        rows = np.flatnonzero(active).astype(np.int32) if rows is None else rows[active]
+        return _Partition(rows, labels, merged.size, settled), merged
+
+    def _count_limit(self, size: int) -> int:
+        # The most key cells a refinement of ``size`` atoms counts rather than
+        # sorts: counting costs a pass over the cells, a sort one per column.
+        return max(2 * size, 4096)
 
     def _cached_parent(self, members: int) -> tuple[int, _Partition | None]:
         # A subset one variable short of ``members`` is the largest possible

@@ -6,12 +6,13 @@ from functools import partial
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import brute_subset_entropy, densify
 from oppknow import JointDistribution, SampleTable
-from oppknow.measures import _Partition
+from oppknow.measures import _Partition, _bits
 
 
 @st.composite
@@ -257,11 +258,46 @@ def packed_refine(self, parent, columns):
     return _Partition(rows[active], labels, int(shared.sum()), settled)
 
 
+def block_weights(dist, part):
+    """A partition's block weights, summed as ``_projection_entropy`` summed them
+    when ``packed_refine`` was the kernel."""
+    return np.bincount(part.labels, weights=dist._weights[part.rows], minlength=part.blocks)
+
+
+def packed_refine_and_weights(self, parent, columns):
+    """:func:`packed_refine` in the shape ``JointDistribution._refine`` returns."""
+    part = packed_refine(self, parent, columns)
+    return part, block_weights(self, part)
+
+
 def assert_same_partition(new, old):
     assert np.array_equal(new.rows, old.rows)
     assert np.array_equal(new.labels, old.labels)
     assert new.blocks == old.blocks
     assert new.settled.hex() == old.settled.hex()
+
+
+def refine_with_limit(dist, limit, parent, columns):
+    """``dist._refine`` counting keys of at most ``limit`` cells and sorting the rest."""
+    dist._count_limit = lambda size: limit
+    try:
+        return dist._refine(parent, columns)
+    finally:
+        del dist._count_limit
+
+
+def assert_branches_match_packed(dist, parent, columns):
+    """Refine as the kernel chooses, then with the span one cell past the
+    count limit (sorting) and exactly at it (counting), against the packed kernel."""
+    expected = packed_refine(dist, parent, columns)
+    span = (1 if parent is None else parent.blocks) * dist.category_count ** len(columns)
+    results = [dist._refine(parent, columns), refine_with_limit(dist, span - 1, parent, columns)]
+    if span <= 1 << 16:
+        results.append(refine_with_limit(dist, span, parent, columns))
+    for part, merged in results:
+        assert_same_partition(part, expected)
+        assert merged.tobytes() == block_weights(dist, expected).tobytes()
+    return expected
 
 
 @given(repeated_row_tables(), st.data())
@@ -272,11 +308,58 @@ def test_sorting_kernel_builds_the_packed_kernels_partitions(dist, data):
     base = sorted(data.draw(st.sets(st.sampled_from(key))))
     added = [i for i in key if i not in base]
     if not base:
-        assert_same_partition(dist._refine(None, key), packed_refine(dist, None, key))
+        assert_same_partition(dist._refine(None, key)[0], packed_refine(dist, None, key))
         return
-    parent = dist._refine(None, base)
+    parent, _ = dist._refine(None, base)
     assert_same_partition(parent, packed_refine(dist, None, base))
-    assert_same_partition(dist._refine(parent, added), packed_refine(dist, parent, added))
+    assert_same_partition(dist._refine(parent, added)[0], packed_refine(dist, parent, added))
+
+
+@given(repeated_row_tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_counting_and_sorting_build_the_packed_kernels_partitions(dist, data):
+    # A fallback from the columns, then a refinement of the cached parent.
+    m = dist.user_count
+    key = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    base = sorted(data.draw(st.sets(st.sampled_from(key))))
+    parent = assert_branches_match_packed(dist, None, base or key)
+    if base:
+        assert_branches_match_packed(dist, parent, [i for i in key if i not in base])
+
+
+@pytest.mark.parametrize(
+    "v, rows, blocks, past",
+    [
+        (4096, 1000, None, 0),  # fallbacks at and past the 4096-cell floor
+        (4097, 1000, None, 1),
+        (5000, 2500, None, 0),  # ... and at and past twice the atoms
+        (5001, 2500, None, 1),
+        (256, 1000, 16, 0),  # refinements of a 16- or 17-block parent
+        (241, 1000, 17, 1),
+    ],
+)
+def test_spans_at_and_one_past_the_count_limit(v, rows, blocks, past):
+    # Each distinct row repeats one to three times, so atoms weigh 1-3. Column
+    # 0 numbers the rows: in the fallbacks the atoms then number exactly
+    # ``rows``, and the atoms' canonical order is not their order under the
+    # refined columns. The refined partition keeps shared blocks beside
+    # settled atoms.
+    rng = np.random.default_rng(v)
+    first = rng.integers(0, v if blocks is None else blocks, rows)
+    columns = [first, rng.integers(0, v, rows)] if blocks else [first]
+    distinct = np.stack([np.arange(rows) % v, *columns], axis=1)
+    samples = np.repeat(distinct, rng.integers(1, 4, rows), axis=0)
+    dist = JointDistribution.from_samples(SampleTable(distinct.shape[1], v, samples))
+    if blocks is None:
+        parent, size = None, dist._weights.size
+    else:
+        parent = assert_branches_match_packed(dist, None, [1])
+        assert parent.blocks == blocks
+        size = parent.rows.size
+    span = (1 if parent is None else parent.blocks) * v
+    assert span - dist._count_limit(size) == past
+    refined = assert_branches_match_packed(dist, parent, [2] if blocks else [1])
+    assert 0 < refined.rows.size < size
 
 
 @given(repeated_row_tables(), st.randoms(use_true_random=False))
@@ -287,9 +370,20 @@ def test_sorting_kernel_entropies_are_hex_identical_to_the_packed_kernel(dist, r
     subsets = [s for s in all_subsets(dist.user_count) if s]
     rng.shuffle(subsets)
     packed = JointDistribution(dist.user_count, dist.category_count, dist.atoms)
-    packed._refine = partial(packed_refine, packed)
+    packed._refine = partial(packed_refine_and_weights, packed)
     for s in subsets:
         assert dist.subset_entropy(s).hex() == packed.subset_entropy(s).hex()
+
+
+@given(st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=300).map(lambda i: 1 << i),
+    st.integers(min_value=2**200 + 1, max_value=2**400),
+    st.integers(min_value=0),
+))
+def test_bits_lists_the_members_of_a_mask(mask):
+    # The comprehension that tested every bit position before.
+    assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def counter_entropy(rows, key):
