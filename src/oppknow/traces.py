@@ -11,22 +11,24 @@ operations on the table.
 
 Activity CSVs and trace files are parsed a line-aligned chunk of 64K
 characters at a time. A trace file's chunks fill its ``(T, M)`` table,
-allocated once at the size its header gives. An activity CSV whose stamps
-never go down, the order in which logs are written, becomes table rows chunk
-by chunk: each chunk's observations are scattered into the rows of its
+allocated once at the size its header gives. An activity CSV becomes table
+rows in one builder, which takes chunks of observations whose stamps never
+go down: each chunk's observations are scattered into the rows of its
 stamps, a block of rows at a time, and its last row stays open for the next
-chunk, so memory follows the table and not the log. A stamp that goes
-backwards sends the reader back to the first observation and down a column
-path, which holds every observation's stamp, user and category in arrays
-sized by a pass that counts the lines: no row of an out-of-order log is
-complete before its last line. A chunk is parsed (by ``np.fromstring``)
+chunk, so memory follows the table and not the log. A log in stamp order,
+the order in which logs are written, feeds the builder its chunks as they
+are read. No row of a log out of stamp order is complete before its last
+line, so a stamp that goes backwards sends the reader back to the first
+observation: every observation's stamp, user and category is read into
+columns sized by a pass that counts the lines, and the columns, sorted by
+stamp, feed the same builder. A chunk is parsed (by ``np.fromstring``)
 only if every line in it is the expected number of nonempty runs of ASCII
 digits split by commas, and ranges and duplicates are then checked as
 arrays. Input that any of these steps rejects (a bad field, a sign, a CR, a
-blank line, a value of 2**63 - 1 or more, a duplicate, an out-of-range id)
-is read again by the per-line loop, which accepts the same lenient forms it
-always has and is the only place that builds error messages, with their
-line numbers.
+blank line, a value of 2**63 - 1 or more, a duplicate, an out-of-range id,
+a table of 2**63 cells or more) is read again by the per-line loop, which
+accepts the same lenient forms it always has and is the only place that
+builds error messages, with their line numbers.
 
 All randomness flows through ``numpy.random.default_rng`` (PCG64), so equal
 seeds give byte-identical tables on every platform.
@@ -289,16 +291,14 @@ def parse_activity_csv(
     return _parse_activity_lines(lines, user_count, category_count, missing_policy)
 
 
-class _ColumnsNeeded(Exception):
-    """Raised by the in-order path for input that only the column path
-    places: a stamp that goes backwards, or a table of 2**63 cells or more,
-    whose stamps the column path counts for the error message."""
+class _OutOfOrder(Exception):
+    """Raised by :func:`_activity_rows` for a stamp that goes backwards."""
 
 
 def _parse_activity_plain(
     fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
 ) -> SampleTable | None:
-    # The array paths; None hands the input to the per-line loop, which also
+    # The array path; None hands the input to the per-line loop, which also
     # reports counts below 1 and alphabets too wide for the grid's int64 ids.
     if user_count < 1 or not 1 <= category_count < 1 << 63:
         return None
@@ -306,10 +306,11 @@ def _parse_activity_plain(
         return None
     body = fh.tell()
     try:
-        return _parse_activity_in_order(fh, user_count, category_count, missing_policy)
-    except _ColumnsNeeded:
+        return _activity_rows(_plain_chunks(fh, 3), user_count, category_count, missing_policy)
+    except _OutOfOrder:
         fh.seek(body)
-    return _parse_activity_columns(fh, user_count, category_count, missing_policy)
+    chunks = _sorted_chunks(fh, user_count, category_count)
+    return _activity_rows(chunks, user_count, category_count, missing_policy)
 
 
 def _out_of_range(rows: np.ndarray, user_count: int, category_count: int) -> bool:
@@ -317,11 +318,55 @@ def _out_of_range(rows: np.ndarray, user_count: int, category_count: int) -> boo
     return bool(rows[:, 1].max() >= user_count or rows[:, 2].max() >= category_count)
 
 
-def _parse_activity_in_order(
-    fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
+def _sorted_chunks(
+    fh: io.TextIOBase, user_count: int, category_count: int
+) -> Iterator[np.ndarray | None]:
+    # The observations of a body whose stamps go backwards, in chunks of
+    # (stamp, user, category) rows in stamp order, or None for input that is
+    # not plain: no row of such a body is complete before its last line.
+    # Every stamp, user and category is held in a column sized by a pass
+    # that counts the lines. The stamps are sorted in place, so that no
+    # gathered copy of them is held beside the others.
+    body = fh.tell()
+    lines = _line_count(fh)
+    if lines is None:
+        yield None
+        return
+    fh.seek(body)
+    t = np.empty(lines, dtype=np.int64)
+    u = np.empty(lines, dtype=category_dtype(user_count))
+    c = np.empty(lines, dtype=category_dtype(category_count))
+    start = 0
+    for rows in _plain_chunks(fh, 3):
+        if rows is None or start + len(rows) > lines:
+            yield None
+            return
+        if _out_of_range(rows, user_count, category_count):
+            yield None
+            return
+        end = start + len(rows)
+        t[start:end], u[start:end], c[start:end] = rows.T
+        start = end
+    if start != lines:
+        yield None
+        return
+    order = np.argsort(t)
+    u, c = u[order], c[order]
+    del order
+    t.sort()
+    # At 24 bytes a row, a chunk holds less than a read's 8 bytes a character.
+    step = max(1, _CHUNK_CHARS // 32)
+    for start in range(0, lines, step):
+        end = start + step
+        yield np.column_stack((t[start:end], u[start:end], c[start:end]))
+
+
+def _activity_rows(
+    chunks: Iterable[np.ndarray | None], user_count: int, category_count: int, missing_policy: str
 ) -> SampleTable | None:
-    # Table rows straight from a body whose stamps never go down, so that
-    # memory follows the table and one chunk, not the log. A cell holds its
+    # Table rows straight from (stamp, user, category) chunks whose stamps
+    # never go down, so that memory follows the table and one chunk, not the
+    # log; a stamp that goes backwards raises _OutOfOrder. A cell holds its
     # category + 1, so 0 marks a user not observed. A chunk's stamps are
     # ranked by a change mask and its observations scattered into blocks of
     # rows, the first of them the row that the previous block left open;
@@ -343,23 +388,23 @@ def _parse_activity_in_order(
             rows -= 1
         kept.extend(memoryview(rows))
 
-    for rows in _plain_chunks(fh, 3):
+    for rows in chunks:
         if rows is None or _out_of_range(rows, user_count, category_count):
             return None
         t = rows[:, 0]
         if last is None:
             last = t[0]
         if t[0] < last or (t[1:] < t[:-1]).any():
-            raise _ColumnsNeeded
+            raise _OutOfOrder
         starts = np.empty(t.size, dtype=bool)
         starts[0] = t[0] != last
         np.not_equal(t[1:], t[:-1], out=starts[1:])
         rank = np.cumsum(starts)
         height = int(rank[-1]) + 1
-        try:
-            _check_cells(stamps + height, user_count)
-        except MemoryError:
-            raise _ColumnsNeeded from None
+        # The per-line loop reports a table of 2**63 cells or more, with
+        # its stamp count, unless it finds a bad line first.
+        if (stamps + height) * user_count >= 1 << 63:
+            return None
         rows[:, 2] += 1
         lines += len(rows)
         last = t[-1]
@@ -389,58 +434,6 @@ def _parse_activity_in_order(
         return None
     grid = np.frombuffer(kept, dtype=dtype).reshape(-1, user_count)
     return SampleTable(user_count, category_count if drop else category_count + 1, grid)
-
-
-def _parse_activity_columns(
-    fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
-) -> SampleTable | None:
-    # Every observation's stamp, user and category as columns, then the
-    # table: no row of an out-of-order body is known before its last line.
-    body = fh.tell()
-    lines = _line_count(fh)
-    if lines is None:
-        return None
-    fh.seek(body)
-    # One slot per observation; a category is stored as its id + 1 below.
-    t = np.empty(lines, dtype=np.int64)
-    u = np.empty(lines, dtype=category_dtype(user_count))
-    c = np.empty(lines, dtype=category_dtype(category_count + 1))
-    start = 0
-    for rows in _plain_chunks(fh, 3):
-        if rows is None or start + len(rows) > lines:
-            return None
-        if _out_of_range(rows, user_count, category_count):
-            return None
-        end = start + len(rows)
-        t[start:end], u[start:end], c[start:end] = rows.T
-        start = end
-    if start != lines:
-        return None
-    c += 1
-
-    # One cell per (timestamp, user), timestamps in ascending order; a cell
-    # holds its category + 1, so 0 marks a user not observed. Each column is
-    # freed once used, so that about two are live at a time.
-    stamps = _distinct(t)
-    _check_cells(stamps.size, user_count)
-    cells = np.searchsorted(stamps, t)
-    del t
-    cells *= user_count
-    cells += u
-    del u
-    grid = np.zeros(stamps.size * user_count, dtype=c.dtype)
-    grid[cells] = c
-    del cells, c
-    # Every observation fills one cell, so fewer filled cells than lines
-    # means a repeated (timestamp, user) pair.
-    if np.count_nonzero(grid) != lines:
-        return None
-    grid = grid.reshape(stamps.size, user_count)
-    if missing_policy == "drop-row":
-        grid = grid[grid.all(axis=1)]
-        grid -= 1
-        return SampleTable(user_count, category_count, grid)
-    return SampleTable(user_count, category_count + 1, grid)
 
 
 def _parse_activity_lines(

@@ -123,8 +123,9 @@ class TestIngest:
 
     @pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
     def test_shuffled_log_gives_the_same_trace(self, tmp_path, capsys, policy):
-        # The in-order log is parsed row by row, its shuffled copy by the
-        # column path; about a tenth of the stamps lack a user.
+        # The in-order log is parsed row by row as it is read, its shuffled
+        # copy from columns sorted by stamp; about a tenth of the stamps lack
+        # a user.
         rng = np.random.default_rng(3)
         categories = rng.integers(0, 5, size=(430, 6))
         observed = rng.random((430, 6)) > 0.02

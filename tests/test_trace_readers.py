@@ -150,6 +150,8 @@ def workdir(tmp_path_factory):
 @example((1, 2, ACTIVITY_HEADER + "\n\n0,0,1\n"))
 @example((-1, 2, ACTIVITY_HEADER + "\n"))
 @example((2, 0, ACTIVITY_HEADER + "\n"))
+# Two stamps of 2**62 + 1 users reach 2**63 cells, but line 3 repeats line 2.
+@example((2**62 + 1, 2, ACTIVITY_HEADER + "\n0,0,1\n0,0,1\n1,0,1\n"))
 def test_activity_reader_matches_per_line_loop(workdir, case):
     m, v, text = case
     assert_activity_matches_loop(workdir / "activity.csv", text, m, v)
@@ -302,7 +304,8 @@ def test_rows_filled_a_few_at_a_time(tmp_path, monkeypatch, block_cells):
 @pytest.mark.parametrize("mutation", ["moved", "moved-duplicate"])
 def test_stamp_going_back_in_a_late_chunk(tmp_path, monkeypatch, mutation):
     # Only the last chunk holds a stamp below its predecessor's, so the
-    # in-order path has closed rows before the column path takes over.
+    # builder has closed rows from the chunks as read before it starts again
+    # from the sorted ones.
     monkeypatch.setattr(traces, "_CHUNK_CHARS", 16)
     observations = [(t, u, (t + u) % 3) for t in range(0, 200, 10) for u in range(3)]
     if mutation == "moved":
@@ -310,13 +313,13 @@ def test_stamp_going_back_in_a_late_chunk(tmp_path, monkeypatch, mutation):
     else:
         observations.append((40, 1, 0))
     text = activity_text(observations)
-    column_path, columns = traces._parse_activity_columns, []
+    sorted_chunks, columns = traces._sorted_chunks, []
 
     def spy(*args):
-        columns.append(column_path(*args))
-        return columns[-1]
+        columns.append(args)
+        return sorted_chunks(*args)
 
-    monkeypatch.setattr(traces, "_parse_activity_columns", spy)
+    monkeypatch.setattr(traces, "_sorted_chunks", spy)
     for policy in ("drop-row", "idle-category"):
         fast, loop = array_and_loop(text, 3, 3, policy)
         if mutation == "moved":
@@ -413,19 +416,21 @@ def traced_parse(path, policy="drop-row", users=50):
 
 
 # Peak traced allocations of a parse, as a multiple of the file's size. At
-# M=50 and 24 categories the column path, which shuffled logs take, peaks at
-# 2.2x (50k lines) and 2.0x (200k lines); np.loadtxt, which it replaced,
-# peaked at 3.5x and 3.2x, and the per-line loop at 6.0x and 5.5x.
+# M=50 and 24 categories a shuffled log, whose columns are sorted before
+# they feed the row builder, peaks at 2.20x (50k lines), 2.05x (200k lines)
+# and 1.85x (1M lines) under either policy; np.loadtxt peaked at 3.5x and
+# 3.2x, and the per-line loop at 6.0x and 5.5x.
 PARSE_PEAK_PER_FILE_BYTE = 2.5
 
 
+@pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
 @pytest.mark.parametrize("order", ["in-order", "shuffled"])
 @pytest.mark.parametrize("timestamps", [1_000, 4_000])
-def test_parse_memory_bounded_by_file_size(tmp_path, timestamps, order):
+def test_parse_memory_bounded_by_file_size(tmp_path, timestamps, order, policy):
     path = tmp_path / "activity.csv"
     categories = write_activity(path, timestamps, order)
-    table, peak = traced_parse(path)
-    assert np.array_equal(table.samples, categories)
+    table, peak = traced_parse(path, policy)
+    assert np.array_equal(table.samples, categories + (policy == "idle-category"))
     assert peak < PARSE_PEAK_PER_FILE_BYTE * path.stat().st_size
 
 
@@ -434,7 +439,7 @@ def test_parse_memory_bounded_by_file_size(tmp_path, timestamps, order):
 # int64 values. At M=50 and 24 categories the peak is 1.57x the 1 MB table
 # at 20k timestamps, and the table + 8 bytes per chunk character at 1k;
 # joining the rows at the end, which would hold the table twice, peaks at
-# 2.03x, and the column path at 19 MB on that table. The sparse log is one
+# 2.03x, and a shuffled copy of the log at 20 MB. The sparse log is one
 # 34K-character chunk of 3,000 stamps of 2,000 users: a block of rows for
 # every stamp in the chunk held a second 6 MB table (12.9 MB in all, the
 # table 6.8 MB when rows are filled a block of cells at a time).
