@@ -4,13 +4,20 @@ Graphs are simple and undirected. :func:`random_geometric` realizes a
 disk-connectivity model: nodes placed uniformly in the unit square, an edge
 wherever the Euclidean distance is within the given radius, regenerated until
 the graph is connected so multi-hop forwarding is always feasible.
+
+Memory: a :class:`Graph` holds its sorted edge tuples and one neighbour tuple
+per node that has an edge, about 140 bytes an edge, so it follows the edge
+count, not the declared node count. :func:`random_geometric` compares node
+pairs a block of rows at a time, about 2^16 pairs a block, so beside the
+graph it holds about 3 MB of temporaries at any node count, not memory per
+node pair.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -25,6 +32,9 @@ from .errors import (
 )
 
 MAX_PLACEMENT_ATTEMPTS = 1000
+# Node pairs random_geometric compares at once: a block of
+# max(1, _BLOCK_PAIRS // node_count) rows against every node.
+_BLOCK_PAIRS = 1 << 16
 
 
 class Graph:
@@ -119,15 +129,30 @@ def random_geometric(node_count: int, radius: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     for _ in range(MAX_PLACEMENT_ATTEMPTS):
         points = rng.random((node_count, 2))
-        deltas = points[:, None, :] - points[None, :, :]
-        within = np.linalg.norm(deltas, axis=2) <= radius
-        graph = Graph(node_count, np.argwhere(np.triu(within, 1)).tolist())
+        graph = Graph(node_count, _pairs_within(points, radius))
         if graph.is_connected():
             return graph
     raise CouldNotConnect(
         f"no connected placement in {MAX_PLACEMENT_ATTEMPTS} attempts "
         f"(radius {radius} too small for {node_count} nodes?)"
     )
+
+
+def _pairs_within(points: np.ndarray, radius: float) -> Iterator[list[int]]:
+    """Yield ``[i, j]``, ``i < j``, for each pair of points within ``radius``.
+
+    Rows are compared a block at a time, each against every point, with the
+    same float operations per pair at any block size, so the pairs do not
+    depend on it.
+    """
+    node_count = len(points)
+    rows = max(1, _BLOCK_PAIRS // node_count)
+    for start in range(0, node_count, rows):
+        deltas = points[start:start + rows, None, :] - points[None, :, :]
+        within = np.linalg.norm(deltas, axis=2) <= radius
+        pairs = np.argwhere(np.triu(within, start + 1))
+        pairs[:, 0] += start
+        yield from pairs.tolist()
 
 
 # -- edge list files ----------------------------------------------------------

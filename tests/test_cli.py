@@ -304,6 +304,25 @@ class TestSimulate:
         assert not metrics.exists()
         assert not summary.exists()
 
+    def test_round_count_past_the_address_space_exits_3_writing_nothing(
+        self, trace_m20, tmp_path, capsys
+    ):
+        # A schedule that cannot fit is refused before its first round is
+        # drawn, not grown until the process is killed.
+        metrics, summary = tmp_path / "m.csv", tmp_path / "s.csv"
+        code = main([
+            "simulate", "--trace", str(trace_m20), "--mesh", "--policy", "smo",
+            "--round-robin", "100000000000000000000", "--schedule-seed", "1",
+            "--metrics", str(metrics), "--summary", str(summary),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: input or requested size too large to hold in memory: "
+            "a schedule of 100000000000000000000 rounds exceeds the address space\n"
+        )
+        assert not metrics.exists()
+        assert not summary.exists()
+
     def test_conflicting_topologies_is_usage_error(self, trace_m20, tmp_path, capsys):
         code = main([
             "simulate", "--trace", str(trace_m20), "--mesh", "--geometric", "0.3",

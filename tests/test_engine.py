@@ -1,5 +1,8 @@
 """Tests for the encounter engine: policies, schedules, runs, metrics."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -186,6 +189,24 @@ class TestSchedules:
     def test_round_robin_needs_rounds(self):
         with pytest.raises(ValueError):
             round_robin_schedule(full_mesh(3), 0, seed=0)
+
+    def test_round_robin_refuses_rounds_past_the_address_space(self):
+        # Each round holds at least one list and a pointer to it.
+        with pytest.raises(MemoryError, match="exceeds the address space"):
+            round_robin_schedule(full_mesh(3), sys.maxsize // 64 + 1, seed=0)
+
+    def test_round_robin_memory_follows_pairs_not_new_tuples(self):
+        # 6,000 rounds of about 40 pairs: one pointer per pair and one list
+        # per round, about 2.6 MiB, where a fresh tuple per pair traces 17.4 MiB.
+        g = random_geometric(100, 0.2, 1)
+        tracemalloc.start()
+        try:
+            schedule = round_robin_schedule(g, 6000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(schedule) == 6000
+        assert peak < 4 << 20
 
 
 def previous_round_robin_schedule(graph, rounds, seed):

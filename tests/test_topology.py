@@ -17,6 +17,7 @@ from oppknow import (
     read_edge_list,
     write_edge_list,
 )
+from oppknow import topology
 from oppknow.errors import (
     BadVariableIndex,
     CouldNotConnect,
@@ -187,14 +188,54 @@ class TestAgainstReference:
     @pytest.mark.parametrize("radius", [0.2, 0.35, 0.5, 1.0, math.sqrt(2.0)])
     @pytest.mark.parametrize("node_count", [2, 3, 7, 20, 50, 100])
     def test_random_geometric_matches_reference(self, node_count, radius, seed):
+        assert_geometric_matches_reference(node_count, radius, seed)
+
+
+def assert_geometric_matches_reference(node_count, radius, seed):
+    try:
+        reference = reference_random_geometric(node_count, radius, seed)
+    except CouldNotConnect as exc:
+        with pytest.raises(CouldNotConnect) as raised:
+            random_geometric(node_count, radius, seed)
+        assert str(raised.value) == str(exc)
+    else:
+        assert_same_graph(random_geometric(node_count, radius, seed), reference)
+
+
+class TestGeometricRowBlocks:
+    """Placement compares a block of rows at a time; the edges do not depend on it."""
+
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "node_count, radius, seed",
+        [(2, 0.2, 0), (2, math.sqrt(2.0), 3), (7, 0.5, 1), (20, 0.35, 4),
+         (50, 0.2, 2), (65, 0.25, 6), (100, 0.2, 1), (130, 0.15, 9),
+         (20, 0.01, 0)],
+    )
+    def test_any_block_size_matches_reference(
+        self, monkeypatch, rows, node_count, radius, seed
+    ):
+        monkeypatch.setattr(topology, "_BLOCK_PAIRS", rows * node_count)
+        assert_geometric_matches_reference(node_count, radius, seed)
+
+    @pytest.mark.parametrize("node_count, radius", [(300, 0.12), (700, 0.08)])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_default_blocks_split_and_match_reference(self, node_count, radius, seed):
+        assert topology._BLOCK_PAIRS // node_count < node_count
+        assert_geometric_matches_reference(node_count, radius, seed)
+
+    def test_memory_follows_edges_not_node_pairs(self):
+        # 2,000 nodes, about 21,000 edges: the graph and one block of
+        # temporaries trace about 7 MiB, and comparing every node pair at once
+        # traces 183 MiB, so the bound fails on any path holding memory per pair.
+        tracemalloc.start()
         try:
-            reference = reference_random_geometric(node_count, radius, seed)
-        except CouldNotConnect as exc:
-            with pytest.raises(CouldNotConnect) as raised:
-                random_geometric(node_count, radius, seed)
-            assert str(raised.value) == str(exc)
-        else:
-            assert_same_graph(random_geometric(node_count, radius, seed), reference)
+            graph = random_geometric(2000, 0.06, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.is_connected()
+        assert peak < 16 << 20
 
 
 class TestMemoryFollowsEdges:
