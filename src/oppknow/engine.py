@@ -75,13 +75,17 @@ def init_state(node_count: int) -> KnowledgeState:
 def _pair(node_count: int, graph: Graph | None, i: int, j: int) -> tuple[int, int]:
     """Check one encounter's pair; return its ids as Python ints (a numpy id
     would wrap at 64 bits when shifted)."""
+    try:
+        i, j = operator.index(i), operator.index(j)
+    except TypeError:
+        raise BadVariableIndex(f"pair ({i!r}, {j!r}) holds a non-integer id") from None
     if i == j:
         raise SelfEncounter(f"node {i} cannot encounter itself")
     if not (0 <= i < node_count and 0 <= j < node_count):
         raise BadVariableIndex(f"pair ({i}, {j}) outside [0, {node_count})")
     if graph is not None and not graph.has_edge(i, j):
         raise NotAnEdge(f"({i}, {j}) is not an edge of the topology")
-    return operator.index(i), operator.index(j)
+    return i, j
 
 
 def _encounter(

@@ -35,7 +35,8 @@ of outcome tuples to weights is built from them the first time it is read;
 no query needs it.
 
 A variable subset has one key everywhere: the Python int bit mask with bit
-``i`` set for each member ``i``. Ids are converted with ``int()`` and
+``i`` set for each member ``i``. Ids are converted with ``operator.index``,
+which refuses a float or a string instead of truncating it, and are
 bounds-checked before any is shifted into a mask. Entropies are memoized by
 mask, and the partition cache is keyed by mask too, so the simulation engine,
 which holds its knowledge sets as masks, reads a known entropy with one dict
@@ -54,6 +55,7 @@ Conventions:
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -107,6 +109,14 @@ def _bits(mask: int) -> list[int]:
         members.append(low.bit_length() - 1)
         mask ^= low
     return members
+
+
+def _index(value: object, error: type[Exception], what: str) -> int:
+    """``value`` as a Python int; a non-integer, such as 1.5 or '1', raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 def _text(mask: int) -> str:
@@ -189,18 +199,19 @@ class JointDistribution:
         self, atoms: Mapping[tuple[int, ...], int]
     ) -> tuple[np.ndarray, np.ndarray]:
         # Outcomes as one (atoms, users) integer grid, and their weights.
-        # Each outcome is converted with int() and checked; outcomes that
-        # convert to the same tuple are merged, and the first bad atom raises.
+        # Each outcome is converted with operator.index and checked; outcomes
+        # that convert to the same tuple are merged, and the first bad atom
+        # raises.
         clean: dict[tuple[int, ...], int] = {}
         for outcome, weight in atoms.items():
-            outcome = tuple(int(c) for c in outcome)
+            outcome = tuple(_index(c, MalformedSamples, "a category") for c in outcome)
             if len(outcome) != self.user_count:
                 raise MalformedSamples(
                     f"outcome {outcome!r} does not have length {self.user_count}"
                 )
             if any(c < 0 or c >= self.category_count for c in outcome):
                 raise MalformedSamples(f"outcome {outcome!r} has an out-of-range category")
-            w = int(weight)
+            w = _index(weight, MalformedSamples, "an atom weight")
             if w <= 0:
                 raise MalformedSamples(f"atom weight must be positive, got {weight!r}")
             clean[outcome] = clean.get(outcome, 0) + w
@@ -273,7 +284,7 @@ class JointDistribution:
     def _mask(self, members: Iterable[int]) -> int:
         # Every id is converted and bounds-checked before any is shifted, so
         # a huge id raises instead of building a huge int.
-        ids = {int(i) for i in members}
+        ids = {_index(i, BadVariableIndex, "a variable id") for i in members}
         bad = [i for i in ids if i < 0 or i >= self.user_count]
         if bad:
             raise BadVariableIndex(
@@ -473,7 +484,7 @@ class JointDistribution:
         :meth:`knowledge_limit` when ``holding`` covers every user.
         """
         held = self._mask(holding)
-        i = int(i)
+        i = _index(i, BadVariableIndex, "a variable id")
         # Only a valid id is shifted; any other is missing from a valid set.
         if not (0 <= i < self.user_count and held >> i & 1):
             raise SelfNotInKnowledgeSet(
@@ -487,7 +498,7 @@ class JointDistribution:
         Term ``t`` (for ``t >= 1``) is ``H(order[t] | order[0..t-1])``. The
         terms sum to ``H(order) - H(order[0])``.
         """
-        ids = [int(i) for i in order]
+        ids = [_index(i, BadVariableIndex, "a variable id") for i in order]
         if len(ids) < 2:
             raise ValueError("chain decomposition needs at least two variables")
         if len(set(ids)) != len(ids):

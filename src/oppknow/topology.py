@@ -53,14 +53,16 @@ class Graph:
                 raise InvalidEdge(f"edge ({i}, {j}) outside [0, {node_count})")
             normalized.add((min(i, j), max(i, j)))
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
+        del normalized
 
         # Only nodes with an edge get an entry, so memory follows the edges,
-        # not the declared node count.
+        # not the declared node count. The edges are sorted, so each node's
+        # neighbours arrive in ascending order.
         adjacency: dict[int, list[int]] = {}
         for i, j in self.edges:
             adjacency.setdefault(i, []).append(j)
             adjacency.setdefault(j, []).append(i)
-        self._adjacency = {n: tuple(sorted(nbrs)) for n, nbrs in adjacency.items()}
+        self._adjacency = {n: tuple(nbrs) for n, nbrs in adjacency.items()}
 
     @property
     def edge_count(self) -> int:

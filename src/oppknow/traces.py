@@ -19,9 +19,9 @@ chunk, so memory follows the table and not the log. A log in stamp order,
 the order in which logs are written, feeds the builder its chunks as they
 are read. No row of a log out of stamp order is complete before its last
 line, so a stamp that goes backwards sends the reader back to the first
-observation: every observation's stamp, user and category is read into
-columns sized by a pass that counts the lines, and the columns, sorted by
-stamp, feed the same builder. A chunk is parsed (by ``np.fromstring``)
+observation: the body is read once more, every observation's stamp, user
+and category is kept in narrow columns, and the columns, sorted by stamp,
+feed the same builder. A chunk is parsed (by ``np.fromstring``)
 only if every line in it is the expected number of nonempty runs of ASCII
 digits split by commas, and ranges and duplicates are then checked as
 arrays. Input that any of these steps rejects (a bad field, a sign, a CR, a
@@ -60,11 +60,10 @@ ACTIVITY_HEADER = "timestamp,user,category"
 # function of the input table.
 _UNIQUE_TIP_SEED = 0x517E
 
-# Characters per read of the chunk reader and the line-count pass. The
-# reader holds about 8 bytes per character of a chunk (its text, bytes and
-# int64 values), all that an in-order activity parse holds besides the
-# table; 256K-character chunks would hold 2 MB, four times the table of a
-# 5 MB log of 50 users.
+# Characters per read of the chunk reader. The reader holds about 8 bytes
+# per character of a chunk (its text, bytes and int64 values), all that an
+# in-order activity parse holds besides the table; 256K-character chunks
+# would hold 2 MB, four times the table of a 5 MB log of 50 users.
 _CHUNK_CHARS = 1 << 16
 _DIGITS = b"0123456789"
 # The chunk reader turns commas and LFs into the spaces np.fromstring splits on.
@@ -205,19 +204,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _line_count(fh: io.TextIOBase) -> int | None:
-    # Lines in the rest of ``fh``, the last one counted even without its LF;
-    # None if the text does not decode.
-    lines, last = 0, "\n"
-    try:
-        while chunk := fh.read(_CHUNK_CHARS):
-            lines += chunk.count("\n")
-            last = chunk[-1]
-    except UnicodeDecodeError:
-        return None
-    return lines + (last != "\n")
-
-
 def _plain_chunks(fh: io.TextIOBase, fields: int) -> Iterator[np.ndarray | None]:
     # Yields the rest of ``fh`` a line-aligned chunk at a time, each as a
     # (lines, fields) int64 array. A chunk is plain if every line is
@@ -324,41 +310,34 @@ def _sorted_chunks(
     # The observations of a body whose stamps go backwards, in chunks of
     # (stamp, user, category) rows in stamp order, or None for input that is
     # not plain: no row of such a body is complete before its last line.
-    # Every stamp, user and category is held in a column sized by a pass
-    # that counts the lines. The stamps are sorted in place, so that no
-    # gathered copy of them is held beside the others.
-    body = fh.tell()
-    lines = _line_count(fh)
-    if lines is None:
-        yield None
-        return
-    fh.seek(body)
-    t = np.empty(lines, dtype=np.int64)
-    u = np.empty(lines, dtype=category_dtype(user_count))
-    c = np.empty(lines, dtype=category_dtype(category_count))
-    start = 0
+    # Each chunk's stamps, users and categories are narrowed and kept in a
+    # list per column, and each list is joined and freed before the next.
+    # The stamps are sorted in place, so that no gathered copy of them is
+    # held beside the others.
+    parts = [[], [], []]
+    dtypes = (np.int64, category_dtype(user_count), category_dtype(category_count))
     for rows in _plain_chunks(fh, 3):
-        if rows is None or start + len(rows) > lines:
-            yield None
+        if rows is None or _out_of_range(rows, user_count, category_count):
+            break
+        for column, part, dtype in zip(parts, rows.T, dtypes):
+            column.append(part.astype(dtype))
+    else:
+        # A body emptied since the first read has nothing to join.
+        if parts[0]:
+            # A loop variable left bound would hold its part through the join.
+            del rows, column, part
+            t, u, c = (np.concatenate(parts.pop(0)) for _ in range(3))
+            order = np.argsort(t)
+            u, c = u[order], c[order]
+            del order
+            t.sort()
+            # At 24 bytes a row, a chunk holds less than a read's 8 bytes a character.
+            step = max(1, _CHUNK_CHARS // 32)
+            for start in range(0, t.size, step):
+                end = start + step
+                yield np.column_stack((t[start:end], u[start:end], c[start:end]))
             return
-        if _out_of_range(rows, user_count, category_count):
-            yield None
-            return
-        end = start + len(rows)
-        t[start:end], u[start:end], c[start:end] = rows.T
-        start = end
-    if start != lines:
-        yield None
-        return
-    order = np.argsort(t)
-    u, c = u[order], c[order]
-    del order
-    t.sort()
-    # At 24 bytes a row, a chunk holds less than a read's 8 bytes a character.
-    step = max(1, _CHUNK_CHARS // 32)
-    for start in range(0, lines, step):
-        end = start + step
-        yield np.column_stack((t[start:end], u[start:end], c[start:end]))
+    yield None
 
 
 def _activity_rows(

@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from oppknow import random_geometric, read_sample_table
+from oppknow import (
+    JointDistribution,
+    Policy,
+    focal_schedule,
+    full_mesh,
+    random_geometric,
+    read_sample_table,
+    run,
+    steps_to_limit,
+    write_metrics_csv,
+)
 from oppknow.cli import main
-from oppknow.metrics import METRICS_HEADER
+from oppknow.metrics import METRICS_HEADER, _fmt
 
 
 def read_csv_dict(path):
@@ -331,6 +341,39 @@ class TestSimulate:
         ])
         capsys.readouterr()
         assert code == 2
+
+    def test_tolerance_reaches_the_run_and_the_summary(self, trace_m20, tmp_path, capsys):
+        # Node 0 is within 2 bits of its limit after 2 encounters and within
+        # 1e-9 after 19; each run's files must be those of run(..., tol=tol).
+        dist = JointDistribution.from_samples(read_sample_table(trace_m20))
+        graph = full_mesh(20)
+        schedule = focal_schedule(graph, 0)
+        summaries = []
+        for tol in (2.0, 1e-9):
+            metrics, summary = tmp_path / f"m{tol}.csv", tmp_path / f"s{tol}.csv"
+            code = main([
+                "simulate", "--trace", str(trace_m20), "--mesh", "--policy", "smo",
+                "--focal", "0", "--tol", str(tol),
+                "--metrics", str(metrics), "--summary", str(summary),
+            ])
+            capsys.readouterr()
+            assert code == 0
+            records = run(dist, graph, schedule, Policy.SEND_MINE_ONLY, tol=tol)
+            expected = tmp_path / "expected.csv"
+            write_metrics_csv(records, expected)
+            assert metrics.read_bytes() == expected.read_bytes()
+            lines = ["node,kl_bits,kg_bits,achieved,steps_to_limit,oh_bits"]
+            for node in range(20):
+                final = records[-20 + node]
+                steps = steps_to_limit(records, node, schedule, tol)
+                lines.append(
+                    f"{node},{_fmt(final.kl_bits)},{_fmt(final.kg_bits)},"
+                    f"{str(final.achieved).lower()},{'' if steps is None else steps},"
+                    f"{_fmt(final.oh_cum_bits)}"
+                )
+            assert summary.read_text() == "\n".join(lines) + "\n"
+            summaries.append(summary.read_text())
+        assert summaries[0] != summaries[1]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_tolerance_must_be_finite_and_positive(self, trace_m20, tmp_path, capsys, tol):

@@ -155,6 +155,15 @@ class TestApplyEncounter:
         with pytest.raises(SelfEncounter):
             apply_encounter(triple_dist, init_state(3), 2, 2, FMPO)
 
+    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 1.0), ("0", 1), (1.5, 1)])
+    def test_non_integer_id_rejected(self, triple_dist, pair):
+        with pytest.raises(BadVariableIndex, match="non-integer id"):
+            apply_encounter(triple_dist, init_state(3), *pair, SMO)
+        with pytest.raises(BadVariableIndex, match="non-integer id"):
+            encounter_overhead(triple_dist, init_state(3), *pair, FMPO)
+        with pytest.raises(BadVariableIndex, match="non-integer id"):
+            run(triple_dist, full_mesh(3), [[pair]], SMO)
+
 
 class TestSchedules:
     def test_focal_on_mesh(self):

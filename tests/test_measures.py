@@ -273,6 +273,42 @@ class TestMemoFastPath:
             three_atom.mutual_information([1, 0], frozenset([2, 1]))
 
 
+class TestNonIntegerIds:
+    """Ids, outcomes and weights are converted with ``operator.index``: a
+    float or a string is refused, not truncated, and numpy integers pass."""
+
+    @pytest.mark.parametrize(
+        "atoms", [{(0, 1): 1.5}, {(1.7, 0): 2}, {("1", "1"): 1}, {(0, 1): "2"}]
+    )
+    def test_non_integer_atoms_rejected(self, atoms):
+        with pytest.raises(MalformedSamples, match="must be an integer"):
+            JointDistribution(2, 2, atoms)
+
+    def test_numpy_integer_atoms_accepted(self):
+        dist = JointDistribution(2, 2, {(np.int64(0), np.uint8(1)): np.int64(2), (1, 1): 1})
+        assert dist.atoms == {(0, 1): 2, (1, 1): 1}
+        assert all(type(c) is int for outcome in dist.atoms for c in outcome)
+
+    @pytest.mark.parametrize("bad", [1.9, 0.0, "1"])
+    def test_non_integer_ids_rejected(self, three_atom, bad):
+        with pytest.raises(BadVariableIndex, match="must be an integer"):
+            three_atom.subset_entropy([bad])
+        with pytest.raises(BadVariableIndex, match="must be an integer"):
+            three_atom.knowledge_limit(bad)
+        with pytest.raises(BadVariableIndex, match="must be an integer"):
+            three_atom.knowledge_gain(bad, [0, 1, 2])
+        with pytest.raises(BadVariableIndex, match="must be an integer"):
+            three_atom.knowledge_gain(0, [0, bad])
+        with pytest.raises(BadVariableIndex, match="must be an integer"):
+            three_atom.chain_decomposition([2, bad])
+
+    def test_numpy_integer_ids_accepted(self, three_atom):
+        ids = [np.int64(0), np.uint8(1), np.int32(2)]
+        assert three_atom.subset_entropy(ids) == three_atom.subset_entropy([0, 1, 2])
+        assert three_atom.knowledge_gain(np.int64(0), ids) == three_atom.knowledge_gain(0, [0, 1, 2])
+        assert three_atom.chain_decomposition(ids) == three_atom.chain_decomposition([0, 1, 2])
+
+
 class TestChainDecomposition:
     def test_independent_triple(self, independent_triple):
         assert independent_triple.chain_decomposition([0, 1, 2]) == pytest.approx(

@@ -330,6 +330,82 @@ def test_stamp_going_back_in_a_late_chunk(tmp_path, monkeypatch, mutation):
     assert_activity_matches_loop(tmp_path / "a.csv", text, 3, 3)
 
 
+def spy_sorted_chunks(monkeypatch):
+    """A list that gets every chunk ``_sorted_chunks`` yields from now on."""
+    sorted_chunks, yielded = traces._sorted_chunks, []
+
+    def spy(*args):
+        for chunk in sorted_chunks(*args):
+            yielded.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(traces, "_sorted_chunks", spy)
+    return yielded
+
+
+@pytest.mark.parametrize(
+    "mutation, error",
+    [
+        ("letter", ParseError),
+        ("user-out-of-range", OutOfRange),
+        ("category-out-of-range", OutOfRange),
+        ("duplicate", DuplicateObservation),
+        ("cr", None),
+    ],
+)
+@pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
+def test_bad_line_after_a_backwards_stamp(monkeypatch, policy, mutation, error):
+    # Line 3's stamp goes backwards and line 42 is bad, many 16-character
+    # chunks later, so the in-order builder stops at the stamp and the
+    # sorted feed is the first to read the bad line. The per-line loop
+    # strips the CR and accepts the line.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", 16)
+    lines = [f"{t},{u},{(t + u) % 3}" for t in range(0, 200, 10) for u in range(3)]
+    lines[0], lines[3] = lines[3], lines[0]
+    t, u, c = lines[40].split(",")
+    if mutation == "letter":
+        lines[40] = f"{t},{u},x"
+    elif mutation == "user-out-of-range":
+        lines[40] = f"{t},3,{c}"
+    elif mutation == "category-out-of-range":
+        lines[40] = f"{t},{u},3"
+    elif mutation == "duplicate":
+        lines.insert(41, f"{t},{u},{(int(c) + 1) % 3}")
+    else:
+        lines[40] += "\r"
+    text = ACTIVITY_HEADER + "\n" + "\n".join(lines) + "\n"
+    yielded = spy_sorted_chunks(monkeypatch)
+    fast, loop = array_and_loop(text, 3, 3, policy)
+    assert fast is None
+    # Only the repeated pair passes the sorted feed, to the row builder.
+    if mutation == "duplicate":
+        assert yielded and all(chunk is not None for chunk in yielded)
+        assert loop[0] is error and loop[1].startswith("line 43:")
+    else:
+        assert yielded == [None]
+    if error is None:
+        assert isinstance(loop, SampleTable)
+    elif error is not DuplicateObservation:
+        assert loop[0] is error and loop[2] == 42
+    assert outcome(lambda: parse_activity_csv(text, 3, 3, policy)) == loop
+
+
+class Truncating(io.StringIO):
+    """Text whose body is emptied when a reader seeks back to it."""
+
+    def seek(self, position, whence=io.SEEK_SET):
+        if position:
+            self.truncate(position)
+        return super().seek(position, whence)
+
+
+def test_body_emptied_before_the_sorted_read():
+    assert list(traces._sorted_chunks(io.StringIO(""), 2, 3)) == [None]
+    text = activity_text([(1, 0, 1), (0, 0, 2)])
+    for policy in ("drop-row", "idle-category"):
+        assert _parse_activity_plain(Truncating(text), 1, 3, policy) is None
+
+
 @pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
 def test_blank_line_in_one_column_trace(tmp_path, monkeypatch, chunk_chars):
     # np.fromstring reads whitespace-only text as [0], so a blank line (or a
@@ -416,10 +492,10 @@ def traced_parse(path, policy="drop-row", users=50):
 
 
 # Peak traced allocations of a parse, as a multiple of the file's size. At
-# M=50 and 24 categories a shuffled log, whose columns are sorted before
-# they feed the row builder, peaks at 2.20x (50k lines), 2.05x (200k lines)
-# and 1.85x (1M lines) under either policy; np.loadtxt peaked at 3.5x and
-# 3.2x, and the per-line loop at 6.0x and 5.5x.
+# M=50 and 24 categories a shuffled log, read once more into columns that
+# are sorted before they feed the row builder, peaks at 2.21x (50k lines),
+# 1.99x (200k lines) and 1.85x (1M lines) under either policy; np.loadtxt
+# peaked at 3.5x and 3.2x, and the per-line loop at 6.0x and 5.5x.
 PARSE_PEAK_PER_FILE_BYTE = 2.5
 
 
