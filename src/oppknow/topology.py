@@ -15,6 +15,7 @@ node pair.
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import deque
 from collections.abc import Iterable, Iterator
@@ -38,15 +39,26 @@ _BLOCK_PAIRS = 1 << 16
 
 
 class Graph:
-    """Immutable simple undirected graph on ``0 .. node_count - 1``; repeated edges collapse."""
+    """Immutable simple undirected graph on ``0 .. node_count - 1``; repeated edges collapse.
+
+    The node count and ids are converted with ``operator.index``, so a float
+    or a string raises instead of being truncated.
+    """
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int]]):
+        try:
+            node_count = operator.index(node_count)
+        except TypeError:
+            raise ValueError(f"node count must be an integer, got {node_count!r}") from None
         if node_count < 1:
             raise TooFewNodes("a graph needs at least one node")
-        self.node_count = int(node_count)
+        self.node_count = node_count
         normalized = set()
         for i, j in edges:
-            i, j = int(i), int(j)
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise InvalidEdge(f"edge ({i!r}, {j!r}) holds a non-integer node id") from None
             if i == j:
                 raise SelfLoop(f"edge ({i}, {j}) is a self-loop")
             if not (0 <= i < node_count and 0 <= j < node_count):

@@ -23,10 +23,11 @@ observation: the body is read once more, every observation's stamp, user
 and category is kept in narrow columns, and the columns, sorted by stamp,
 feed the same builder. A chunk is parsed (by ``np.fromstring``)
 only if every line in it is the expected number of nonempty runs of ASCII
-digits split by commas, and ranges and duplicates are then checked as
-arrays. Input that any of these steps rejects (a bad field, a sign, a CR, a
-blank line, a value of 2**63 - 1 or more, a duplicate, an out-of-range id,
-a table of 2**63 cells or more) is read again by the per-line loop, which
+digits split by commas, and each field is then compared once with its bound
+(the user count, the alphabet, or 2**63 - 1). Wherever the array path
+gives up (a bad field, a sign, a CR, a blank line, a field at its bound, a
+duplicate, a table of 2**63 cells or more), it raises one exception, and
+the public reader reads the input again with the per-line loop, which
 accepts the same lenient forms it always has and is the only place that
 builds error messages, with their line numbers.
 
@@ -68,8 +69,8 @@ _CHUNK_CHARS = 1 << 16
 _DIGITS = b"0123456789"
 # The chunk reader turns commas and LFs into the spaces np.fromstring splits on.
 _SEPARATORS_TO_SPACES = bytes.maketrans(b",\n", b"  ")
-# strtoll saturates at this value instead of failing, so the reader leaves
-# any field that parses to it to the per-line loop.
+# strtoll saturates at this value instead of failing, so no field bound of
+# the chunk reader is above it, and a field that parses to it gives up.
 _INT64_MAX = (1 << 63) - 1
 # Cells per block of rows that a trace file write turns into text, and the
 # widest alphabet whose text it makes once: bounds the write's string objects
@@ -204,13 +205,17 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def _plain_chunks(fh: io.TextIOBase, fields: int) -> Iterator[np.ndarray | None]:
+class _NotPlain(Exception):
+    """Raised where the array path gives the input up to the per-line loop."""
+
+
+def _plain_chunks(fh: io.TextIOBase, fields: int, bounds: tuple[int, ...]) -> Iterator[np.ndarray]:
     # Yields the rest of ``fh`` a line-aligned chunk at a time, each as a
-    # (lines, fields) int64 array. A chunk is plain if every line is
-    # ``fields`` nonempty runs of ASCII digits split by commas and ends in LF
-    # (the last line of the file may lack it). The first chunk that is not
-    # plain, does not decode or holds a value strtoll saturated at yields None
-    # and ends the reader.
+    # (lines, fields) int64 array. The first chunk that does not decode or is
+    # not plain raises _NotPlain. In a plain chunk every line is ``fields``
+    # nonempty runs of ASCII digits split by commas, ending in LF (the last
+    # line of the file may lack it), and each field's largest value is below
+    # ``bounds``: one bound for all fields or one per field, none above _INT64_MAX.
     row = b"," * (fields - 1) + b"\n"
     while True:
         try:
@@ -219,8 +224,7 @@ def _plain_chunks(fh: io.TextIOBase, fields: int) -> Iterator[np.ndarray | None]
                 chunk += fh.readline()
             data = chunk.encode("ascii")
         except UnicodeError:  # text that does not decode, or is not ASCII
-            yield None
-            return
+            raise _NotPlain from None
         del chunk
         if not data:
             return
@@ -232,13 +236,14 @@ def _plain_chunks(fh: io.TextIOBase, fields: int) -> Iterator[np.ndarray | None]
         skeleton = data.translate(None, _DIGITS)
         lines = len(skeleton) // len(row)
         if skeleton != row * lines or len(data) - len(skeleton) < lines * fields:
-            yield None
-            return
+            raise _NotPlain
         del skeleton
         values = np.fromstring(data.translate(_SEPARATORS_TO_SPACES), dtype=np.int64, sep=" ")
-        if values.size != lines * fields or (values == _INT64_MAX).any():
-            yield None
-            return
+        if values.size != lines * fields:
+            raise _NotPlain
+        columns = values.reshape(-1, len(bounds)).T
+        if any(column.max() >= bound for column, bound in zip(columns, bounds)):
+            raise _NotPlain
         yield values.reshape(lines, fields)
 
 
@@ -269,10 +274,10 @@ def parse_activity_csv(
     fh = io.StringIO(source) if isinstance(source, str) else source
     if isinstance(fh, io.TextIOBase) and fh.seekable():
         start = fh.tell()
-        table = _parse_activity_plain(fh, user_count, category_count, missing_policy)
-        if table is not None:
-            return table
-        fh.seek(start)
+        try:
+            return _parse_activity_plain(fh, user_count, category_count, missing_policy)
+        except _NotPlain:
+            fh.seek(start)
     lines = source.splitlines() if isinstance(source, str) else source
     return _parse_activity_lines(lines, user_count, category_count, missing_policy)
 
@@ -283,66 +288,56 @@ class _OutOfOrder(Exception):
 
 def _parse_activity_plain(
     fh: io.TextIOBase, user_count: int, category_count: int, missing_policy: str
-) -> SampleTable | None:
-    # The array path; None hands the input to the per-line loop, which also
-    # reports counts below 1 and alphabets too wide for the grid's int64 ids.
-    if user_count < 1 or not 1 <= category_count < 1 << 63:
-        return None
-    if fh.readline() not in (ACTIVITY_HEADER + "\n", ACTIVITY_HEADER):
-        return None
+) -> SampleTable:
+    # The per-line loop reports counts below 1 and alphabets too wide for int64 ids.
+    header = fh.readline().removesuffix("\n")
+    if user_count < 1 or not 1 <= category_count < 1 << 63 or header != ACTIVITY_HEADER:
+        raise _NotPlain
     body = fh.tell()
+    bounds = (_INT64_MAX, user_count, category_count)
+    chunks = _plain_chunks(fh, 3, bounds)
     try:
-        return _activity_rows(_plain_chunks(fh, 3), user_count, category_count, missing_policy)
+        return _activity_rows(chunks, user_count, category_count, missing_policy)
     except _OutOfOrder:
         fh.seek(body)
-    chunks = _sorted_chunks(fh, user_count, category_count)
+    chunks = _sorted_chunks(_plain_chunks(fh, 3, bounds), user_count, category_count)
     return _activity_rows(chunks, user_count, category_count, missing_policy)
 
 
-def _out_of_range(rows: np.ndarray, user_count: int, category_count: int) -> bool:
-    # Fields hold only digits, so no value is negative.
-    return bool(rows[:, 1].max() >= user_count or rows[:, 2].max() >= category_count)
-
-
 def _sorted_chunks(
-    fh: io.TextIOBase, user_count: int, category_count: int
-) -> Iterator[np.ndarray | None]:
+    chunks: Iterable[np.ndarray], user_count: int, category_count: int
+) -> Iterator[np.ndarray]:
     # The observations of a body whose stamps go backwards, in chunks of
-    # (stamp, user, category) rows in stamp order, or None for input that is
-    # not plain: no row of such a body is complete before its last line.
-    # Each chunk's stamps, users and categories are narrowed and kept in a
-    # list per column, and each list is joined and freed before the next.
-    # The stamps are sorted in place, so that no gathered copy of them is
-    # held beside the others.
+    # (stamp, user, category) rows in stamp order: no row of such a body is
+    # complete before its last line. Each chunk's stamps, users and
+    # categories are narrowed and kept in a list per column, and each list
+    # is joined and freed before the next. The stamps are sorted in place,
+    # so that no gathered copy of them is held beside the others.
     parts = [[], [], []]
     dtypes = (np.int64, category_dtype(user_count), category_dtype(category_count))
-    for rows in _plain_chunks(fh, 3):
-        if rows is None or _out_of_range(rows, user_count, category_count):
-            break
+    for rows in chunks:
         for column, part, dtype in zip(parts, rows.T, dtypes):
             column.append(part.astype(dtype))
-    else:
-        # A body emptied since the first read has nothing to join.
-        if parts[0]:
-            # A loop variable left bound would hold its part through the join.
-            del rows, column, part
-            t, u, c = (np.concatenate(parts.pop(0)) for _ in range(3))
-            order = np.argsort(t)
-            u, c = u[order], c[order]
-            del order
-            t.sort()
-            # At 24 bytes a row, a chunk holds less than a read's 8 bytes a character.
-            step = max(1, _CHUNK_CHARS // 32)
-            for start in range(0, t.size, step):
-                end = start + step
-                yield np.column_stack((t[start:end], u[start:end], c[start:end]))
-            return
-    yield None
+    # A body emptied since the first read has nothing to join.
+    if not parts[0]:
+        raise _NotPlain
+    # A loop variable left bound would hold its part through the join.
+    del rows, column, part
+    t, u, c = (np.concatenate(parts.pop(0)) for _ in range(3))
+    order = np.argsort(t)
+    u, c = u[order], c[order]
+    del order
+    t.sort()
+    # At 24 bytes a row, a chunk holds less than a read's 8 bytes a character.
+    step = max(1, _CHUNK_CHARS // 32)
+    for start in range(0, t.size, step):
+        end = start + step
+        yield np.column_stack((t[start:end], u[start:end], c[start:end]))
 
 
 def _activity_rows(
-    chunks: Iterable[np.ndarray | None], user_count: int, category_count: int, missing_policy: str
-) -> SampleTable | None:
+    chunks: Iterable[np.ndarray], user_count: int, category_count: int, missing_policy: str
+) -> SampleTable:
     # Table rows straight from (stamp, user, category) chunks whose stamps
     # never go down, so that memory follows the table and one chunk, not the
     # log; a stamp that goes backwards raises _OutOfOrder. A cell holds its
@@ -368,8 +363,6 @@ def _activity_rows(
         kept.extend(memoryview(rows))
 
     for rows in chunks:
-        if rows is None or _out_of_range(rows, user_count, category_count):
-            return None
         t = rows[:, 0]
         if last is None:
             last = t[0]
@@ -383,7 +376,7 @@ def _activity_rows(
         # The per-line loop reports a table of 2**63 cells or more, with
         # its stamp count, unless it finds a bad line first.
         if (stamps + height) * user_count >= 1 << 63:
-            return None
+            raise _NotPlain
         rows[:, 2] += 1
         lines += len(rows)
         last = t[-1]
@@ -410,7 +403,7 @@ def _activity_rows(
     # Every observation fills one cell, so fewer filled cells than lines
     # means a repeated (timestamp, user) pair.
     if filled != lines:
-        return None
+        raise _NotPlain
     grid = np.frombuffer(kept, dtype=dtype).reshape(-1, user_count)
     return SampleTable(user_count, category_count if drop else category_count + 1, grid)
 
@@ -565,37 +558,36 @@ def write_sample_table(table: SampleTable, path: str | os.PathLike) -> None:
 
 def read_sample_table(path: str | os.PathLike) -> SampleTable:
     with open(path, "r", encoding="ascii", newline="") as fh:
-        table = _read_sample_plain(fh)
-        if table is None:
+        try:
+            return _read_sample_plain(fh)
+        except _NotPlain:
             fh.seek(0)
-            table = _read_sample_lines(fh.read().splitlines())
-    return table
+        return _read_sample_lines(fh.read().splitlines())
 
 
-def _read_sample_plain(fh: io.TextIOBase) -> SampleTable | None:
-    # The array path; None hands the file to the per-line loop.
+def _read_sample_plain(fh: io.TextIOBase) -> SampleTable:
     header = fh.readline()
     fields = header.removesuffix("\n").split(",")
     if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields):
-        return None
+        raise _NotPlain
     m, v, t = map(int, fields)
     # Nothing is allocated for a header with M or T x M of 2**63 or more, or
     # with more rows than the rest of the file can hold (T rows of M fields
     # take at least 2MT - 1 characters), or with none for a nonempty body.
     if not (1 <= m < 1 << 63 and t * m < 1 << 63 and 1 <= v <= 1 << 63):
-        return None
+        raise _NotPlain
     rest = os.fstat(fh.fileno()).st_size - len(header)
     if rest < 2 * m * t - 1 or (rest and not t):
-        return None
+        raise _NotPlain
     samples = np.empty((t, m), dtype=category_dtype(v))
     start = 0
-    for rows in _plain_chunks(fh, m):
-        if rows is None or start + len(rows) > t or rows.max() > v - 1:
-            return None
+    for rows in _plain_chunks(fh, m, (min(v, _INT64_MAX),)):
+        if start + len(rows) > t:
+            raise _NotPlain
         samples[start : start + len(rows)] = rows
         start += len(rows)
     if start != t:
-        return None
+        raise _NotPlain
     return SampleTable(m, v, samples)
 
 

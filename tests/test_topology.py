@@ -321,6 +321,24 @@ class TestFromEdgeList:
         with pytest.raises(TooFewNodes):
             Graph(0, [])
 
+    @pytest.mark.parametrize("edge", [(0.7, 1.2), ("2", 1), (0, 1.0), (np.float64(1), 2)])
+    def test_non_integer_id_rejected(self, edge):
+        # int() would truncate (0.7, 1.2) to the edge (0, 1).
+        with pytest.raises(InvalidEdge, match="non-integer node id"):
+            Graph(3, [(0, 1), edge])
+
+    @pytest.mark.parametrize("node_count", [2.5, 3.0, "3", np.float64(3)])
+    def test_non_integer_node_count_rejected(self, node_count):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            Graph(node_count, [(0, 1)])
+
+    def test_numpy_integers_accepted(self):
+        g = Graph(np.int32(3), [(np.int64(2), np.uint8(1)), (np.int16(0), 1)])
+        assert g.node_count == 3 and type(g.node_count) is int
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(n) is int for edge in g.edges for n in edge)
+        assert g.neighbors(1) == (0, 2)
+
 
 class TestQueries:
     def test_path_connected_and_diameter(self):

@@ -19,6 +19,7 @@ from oppknow import SampleTable, parse_activity_csv, read_sample_table, traces, 
 from oppknow.errors import DuplicateObservation, OutOfRange, ParseError
 from oppknow.traces import (
     ACTIVITY_HEADER,
+    _NotPlain,
     _parse_activity_lines,
     _parse_activity_plain,
     _read_sample_lines,
@@ -222,6 +223,14 @@ def test_header_only_input_warns_nothing(tmp_path):
         assert read_sample_table(trace).samples.shape == (0, 3)
 
 
+def array_path(read, *args):
+    """``read(*args)``, or None if the array path raised _NotPlain to decline."""
+    try:
+        return read(*args)
+    except _NotPlain:
+        return None
+
+
 def array_and_loop(text, m=None, v=None, policy="drop-row", path=None):
     """The array path's result (None if it declined) and the loop's outcome.
 
@@ -229,11 +238,11 @@ def array_and_loop(text, m=None, v=None, policy="drop-row", path=None):
     file, read from ``path``.
     """
     if m is not None:
-        fast = _parse_activity_plain(io.StringIO(text), m, v, policy)
+        fast = array_path(_parse_activity_plain, io.StringIO(text), m, v, policy)
         return fast, outcome(lambda: _parse_activity_lines(text.splitlines(), m, v, policy))
     path.write_bytes(text.encode("ascii"))
     with open(path, "r", encoding="ascii", newline="") as fh:
-        fast = _read_sample_plain(fh)
+        fast = array_path(_read_sample_plain, fh)
     return fast, outcome(lambda: _read_sample_lines(text.splitlines()))
 
 
@@ -382,7 +391,7 @@ def test_bad_line_after_a_backwards_stamp(monkeypatch, policy, mutation, error):
         assert yielded and all(chunk is not None for chunk in yielded)
         assert loop[0] is error and loop[1].startswith("line 43:")
     else:
-        assert yielded == [None]
+        assert yielded == []
     if error is None:
         assert isinstance(loop, SampleTable)
     elif error is not DuplicateObservation:
@@ -400,10 +409,11 @@ class Truncating(io.StringIO):
 
 
 def test_body_emptied_before_the_sorted_read():
-    assert list(traces._sorted_chunks(io.StringIO(""), 2, 3)) == [None]
+    with pytest.raises(_NotPlain):
+        list(traces._sorted_chunks(iter(()), 2, 3))
     text = activity_text([(1, 0, 1), (0, 0, 2)])
     for policy in ("drop-row", "idle-category"):
-        assert _parse_activity_plain(Truncating(text), 1, 3, policy) is None
+        assert array_path(_parse_activity_plain, Truncating(text), 1, 3, policy) is None
 
 
 @pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
@@ -435,6 +445,58 @@ def test_largest_int64_field_goes_to_the_loop(tmp_path):
             assert loop.samples[0, 0] == stamp
         else:
             assert loop[0] is OutOfRange
+
+
+@pytest.mark.parametrize("order", ["in-order", "backwards-stamp"])
+@pytest.mark.parametrize("field", ["stamp", "user", "category"])
+@pytest.mark.parametrize("policy", ["drop-row", "idle-category"])
+def test_activity_field_at_its_bound(monkeypatch, policy, field, order):
+    # Users 0-2 of 4 are observed, in 4 categories. Line 62, many
+    # 16-character chunks into the body, holds a stamp, user or category one
+    # below its bound (2**63 - 1, 4 or 4), which the array path reads, and
+    # then one at its bound, which goes to the per-line loop. With line 3's
+    # stamp going back, the sorted feed is the one that compares line 62.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", 16)
+    lines = [f"{t},{u},{(t + u) % 4}" for t in range(0, 200, 10) for u in range(3)]
+    if order == "backwards-stamp":
+        lines[0], lines[3] = lines[3], lines[0]
+    bound = {"stamp": 2**63 - 1, "user": 4, "category": 4}[field]
+    yielded = spy_sorted_chunks(monkeypatch)
+    for value in (bound - 1, bound):
+        last = {"stamp": f"{value},0,1", "user": f"199,{value},1", "category": f"199,0,{value}"}
+        text = ACTIVITY_HEADER + "\n" + "\n".join(lines + [last[field]]) + "\n"
+        yielded.clear()
+        fast, loop = array_and_loop(text, 4, 4, policy)
+        assert outcome(lambda: parse_activity_csv(text, 4, 4, policy)) == loop
+        if value < bound:
+            assert fast is not None and fast == loop
+            assert bool(yielded) == (order == "backwards-stamp")
+            continue
+        assert fast is None and yielded == []
+        if field == "stamp":
+            # The loop reads stamps of any size.
+            assert isinstance(loop, SampleTable)
+        else:
+            assert loop[0] is OutOfRange and loop[2] == 62
+            assert loop[1] == f"line 62: {field} 4 >= declared {field} count 4"
+
+
+def test_trace_id_at_its_bound(tmp_path, monkeypatch):
+    # Line 62, many 16-character chunks into the body, holds the alphabet's
+    # last id, which the array path reads, and then the alphabet size, which
+    # goes to the per-line loop.
+    monkeypatch.setattr(traces, "_CHUNK_CHARS", 16)
+    trace = tmp_path / "t.csv"
+    rows = [f"{r % 5},{(r * 3) % 5}" for r in range(60)]
+    for value, accepted in ((4, True), (5, False)):
+        text = "2,5,61\n" + "\n".join(rows + [f"0,{value}"]) + "\n"
+        fast, loop = array_and_loop(text, path=trace)
+        assert outcome(lambda: read_sample_table(trace)) == loop
+        if accepted:
+            assert fast is not None and fast == loop
+        else:
+            assert fast is None
+            assert loop == (OutOfRange, "line 62: category 5 outside [0, 5)", 62)
 
 
 def test_leading_comma_goes_to_the_loop(tmp_path):
